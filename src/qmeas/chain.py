@@ -60,12 +60,15 @@ class FuzzyKraus:
 
 @dataclass(frozen=True)
 class ChainOutcome:
-    """Result of a decoherence chain: final state, readout sequence, and the
-    eigenvalue index collapsed to (None if no collapse within the chain)."""
+    """Result of a decoherence chain: final state, readout sequence, the
+    eigenvalue index collapsed to (None if no collapse within the chain), and
+    the eigenspace populations before the first and after every shot
+    (n_steps + 1, dim)."""
 
     final_state: QuantumState
     readouts: np.ndarray
     collapsed_to: int | None
+    populations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def run_decoherence_chain(
     n_steps uniforms followed by n_steps normals, the layout also used by the
     vectorized ensemble runner.
     """
-    finals, readouts, collapsed, _ = _run_chain_batch(
+    finals, readouts, collapsed, pops = _run_chain_batch(
         k, psi0, n_steps, [seed], collapse_threshold
     )
     c = int(collapsed[0])
@@ -145,6 +148,7 @@ def run_decoherence_chain(
         final_state=QuantumState(finals[0]),
         readouts=readouts[0],
         collapsed_to=None if c < 0 else c,
+        populations=pops,
     )
 
 

@@ -32,7 +32,6 @@ from .lindblad import LindbladModel, integrate_lindblad
 from .readout import TimeGrid, constant_record, parse_record, reference_log_weight
 from .sse import ensemble_accumulate
 from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
-from .chain import _run_chain_batch as _chain_batch
 from .verify import run_all_checks
 
 _EPILOG = """\
@@ -180,13 +179,9 @@ def _run_chain(cfg: RunConfig, out: Path) -> dict:
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
     evals, _ = cfg.a.eigh()
-    # per-shot eigenspace populations of the exported (first) chain
-    _, _, _, single_pops = _chain_batch(
-        k, cfg.psi0, cfg.n_shots, [cfg.seed], cfg.collapse_threshold
-    )
     rows = []
     for shot in range(cfg.n_shots):
-        rows.append([shot + 1, first.readouts[shot]] + list(single_pops[shot + 1]))
+        rows.append([shot + 1, first.readouts[shot]] + list(first.populations[shot + 1]))
     header = ["shot", "a"] + [f"pop_{i}" for i in range(cfg.a.dim)]
     _write_csv(out / "chain.csv", header, rows)
     collapsed, _, _ = run_chain_ensemble(
@@ -204,7 +199,9 @@ def _run_chain(cfg: RunConfig, out: Path) -> dict:
 
 def _run_zeno(cfg: RunConfig, out: Path, workers: int) -> dict:
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.zeno_kappas[0])
-    scan = run_zeno_scan(system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed)
+    scan = run_zeno_scan(
+        system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed, workers=workers
+    )
     rows = [
         [k, p, d]
         for k, p, d in zip(scan.kappa_values, scan.transfer_probabilities, scan.sse_trace_distances)

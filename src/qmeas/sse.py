@@ -141,13 +141,19 @@ def _wiener_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
 
 
 def _run_batch(
-    model: MonitoringModel, psi0: QuantumState, grid: TimeGrid, seeds: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    model: MonitoringModel,
+    psi0: QuantumState,
+    grid: TimeGrid,
+    seeds: list[int],
+    keep_history: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Advance a batch of trajectories; returns (amplitude history, records,
     projector sums per node).
 
-    History shape (batch, n+1, dim); records (batch, n); projector sums
-    (n+1, dim, dim) accumulated over the batch in index order.
+    History shape (batch, n+1, dim), or None without ``keep_history``;
+    records (batch, n); projector sums (n+1, dim, dim) accumulated over the
+    batch in index order. The history is only stored, never read, so records
+    and sums are the same bits either way.
     """
     b = len(seeds)
     d = model.dim
@@ -155,17 +161,19 @@ def _run_batch(
     dt = grid.dt
     dws = np.stack([_wiener_increments(s, n, dt) for s in seeds])
     psi = np.tile(psi0.amplitudes, (b, 1))
-    hist = np.empty((b, n + 1, d), dtype=complex)
+    hist = np.empty((b, n + 1, d), dtype=complex) if keep_history else None
     recs = np.empty((b, n))
     sums = np.zeros((n + 1, d, d), dtype=complex)
-    hist[:, 0] = psi
+    if hist is not None:
+        hist[:, 0] = psi
     sums[0] = np.einsum("bi,bj->ij", psi, psi.conj())
     h, a, kappa = model.H.entries, model.A.entries, model.kappa
     rec_scale = 1.0 / (2.0 * np.sqrt(kappa) * dt)
     for k in range(n):
         psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
         recs[:, k] = exp_a + dws[:, k] * rec_scale
-        hist[:, k + 1] = psi
+        if hist is not None:
+            hist[:, k + 1] = psi
         sums[k + 1] = np.einsum("bi,bj->ij", psi, psi.conj())
     return hist, recs, sums
 
@@ -188,7 +196,7 @@ def simulate_trajectory(
 
 def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
     model, psi0, grid, seeds = args
-    _, recs, sums = _run_batch(model, psi0, grid, seeds)
+    _, recs, sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
     return sums, recs.sum(axis=0)
 
 

@@ -97,6 +97,16 @@ class TestDecoherenceChain:
         assert np.array_equal(o1.readouts, o2.readouts)
         assert o1.collapsed_to == o2.collapsed_to
 
+    def test_populations_follow_the_chain(self):
+        k = FuzzyKraus(pauli_z(), 0.1)
+        psi = QuantumState(np.array([0.6, 0.8], dtype=complex))
+        out = run_decoherence_chain(k, psi, 100, seed=12)
+        _, q = pauli_z().eigh()
+        assert out.populations.shape == (101, 2)
+        assert np.allclose(out.populations[0], np.abs(q.conj().T @ psi.amplitudes) ** 2, atol=1e-15)
+        final = np.abs(q.conj().T @ out.final_state.amplitudes) ** 2
+        assert np.allclose(out.populations[-1], final, atol=1e-12)
+
     def test_no_collapse_is_not_an_error(self):
         k = FuzzyKraus(pauli_z(), 1e-4)  # far too weak to collapse in 3 shots
         psi = QuantumState(np.array([0.6, 0.8], dtype=complex))

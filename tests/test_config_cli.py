@@ -219,6 +219,17 @@ class TestReproducibility:
         for f in sorted(p.name for p in out1.iterdir()):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
+    def test_zeno_byte_identical_across_workers(self, tmp_path):
+        # 150 trajectories: two full chunks and a partial one per scan point
+        text = SMALL_ZENO.replace("n_traj = 64", "n_traj = 150")
+        rc1, out1 = run_cli(tmp_path, "zw1", text, "--workers", "1")
+        rc2, out2 = run_cli(tmp_path, "zw2", text, "--workers", "2")
+        assert rc1 == rc2 == 0
+        files = sorted(p.name for p in out1.iterdir())
+        assert files == sorted(p.name for p in out2.iterdir())
+        for f in files:
+            assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
 
 class TestWorkersResolution:
     def test_env_fallback(self, monkeypatch):

@@ -68,6 +68,21 @@ class TestZenoScan:
         for k, p in zip(kappas, scan.transfer_probabilities):
             assert p == pytest.approx(transfer_closed(k), abs=2e-5)
 
+    def test_transfers_match_closed_form_to_roundoff(self):
+        # the scan's exact propagator against z'' + Gamma z' + Omega^2 z = 0,
+        # z(0) = -1, z'(0) = 0, at t = pi/Omega; kappa = 1 is critically damped
+        kappas = [0.1, 1.0, 10.0, 100.0]
+        scan = run_zeno_scan(soft_system(), kappas, n_traj=0)
+        for kappa, p in zip(kappas, scan.transfer_probabilities):
+            gamma = 0.5 * kappa * 2.0**2
+            w = np.sqrt(complex(1.0 - gamma**2 / 4.0))
+            decay = np.exp(-0.5 * gamma * np.pi)
+            if abs(w) < 1e-9:
+                z = -decay * (1.0 + 0.5 * gamma * np.pi)
+            else:
+                z = -decay * (np.cos(w * np.pi) + gamma / (2.0 * w) * np.sin(w * np.pi))
+            assert p == pytest.approx(0.5 * (1.0 + np.real(z)), abs=1e-12)
+
 
 class TestRabiMonitor:
     def test_soft_regime_line_detected(self):

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmeas import lindblad as lindblad_mod
 from qmeas.errors import IntegrationError, ValidationError
-from qmeas.hilbert import DensityMatrix, HermitianOperator, basis_state, pauli_x, pauli_z, plus_state
+from qmeas.hilbert import (
+    DensityMatrix,
+    HermitianOperator,
+    NonHermitianOperator,
+    basis_state,
+    pauli_x,
+    pauli_z,
+    plus_state,
+)
 from qmeas.lindblad import (
     LindbladModel,
     integrate_lindblad,
     kappa_from_atoms,
     kappa_from_brownian,
+    lindblad_exact,
     lindblad_rhs,
 )
 from qmeas.readout import TimeGrid
@@ -127,6 +139,76 @@ class TestIntegration:
         thin = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, 100), store_every=100)
         assert len(thin) == 2
         assert np.allclose(thin[-1].entries, full[-1].entries, atol=1e-14)
+
+
+def random_hermitian(rng, dim, evals):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(m)
+    return HermitianOperator((q * evals) @ q.conj().T)
+
+
+def random_density(rng, dim, rank):
+    w = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    r = w @ w.conj().T
+    return DensityMatrix(r / np.trace(r).real)
+
+
+class TestExactPropagator:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        kappa=st.floats(0.1, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fine_rk4_and_stays_a_density_matrix(self, dim, seed, degenerate, kappa):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        if degenerate:
+            a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+            a_evals[1] = a_evals[0]
+        else:
+            a_evals = rng.uniform(-1.0, 1.0, dim)
+        model = LindbladModel(h, random_hermitian(rng, dim, a_evals), kappa)
+        rho0 = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+        t, n = 1.0, 200
+        dt = t / n
+        exact = lindblad_exact(model, rho0, t)
+        rk4 = integrate_lindblad(model, rho0, TimeGrid(0.0, dt, n), store_every=n)[-1]
+        # global RK4 error on a linear ODE with ||L|| <= lam: n steps of the
+        # Taylor remainder (lam dt)^5 / 120 * exp(lam dt), plus roundoff
+        lam = 2.0 * h.spectral_norm() + 2.0 * kappa * model.A.spectral_norm() ** 2
+        tol = n * (lam * dt) ** 5 / 120.0 * np.exp(lam * dt) + 1e-12
+        assert np.max(np.abs(exact.entries - rk4.entries)) <= tol
+        e = exact.entries
+        assert np.array_equal(e, e.conj().T)
+        assert abs(np.trace(e) - 1.0) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(e)) >= -1e-9
+
+    def test_large_dimension_rejected(self):
+        d = lindblad_mod.EXACT_MAX_DIM + 1
+        op = HermitianOperator(np.diag(np.arange(d, dtype=float)))
+        rho0 = DensityMatrix.maximally_mixed(d)
+        with pytest.raises(ValidationError, match="integrate_lindblad"):
+            lindblad_exact(LindbladModel(op, op, 1.0), rho0, 1.0)
+
+    def test_trace_drift_aborts(self, monkeypatch):
+        def drifting(op, t):
+            return NonHermitianOperator((1.0 + 1e-8) * np.eye(op.dim))
+
+        monkeypatch.setattr(lindblad_mod, "matrix_exponential", drifting)
+        rho0 = DensityMatrix.from_state(basis_state(2, 0))
+        with pytest.raises(IntegrationError, match="split t or integrate"):
+            lindblad_exact(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, 1.0)
+
+    def test_non_finite_aborts(self, monkeypatch):
+        def diverging(op, t):
+            return NonHermitianOperator(np.full((op.dim, op.dim), np.nan))
+
+        monkeypatch.setattr(lindblad_mod, "matrix_exponential", diverging)
+        rho0 = DensityMatrix.from_state(basis_state(2, 0))
+        with pytest.raises(IntegrationError, match="non-finite"):
+            lindblad_exact(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, 1.0)
 
 
 class TestKappaConstructors:

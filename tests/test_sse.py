@@ -17,6 +17,7 @@ from qmeas.hilbert import (
 from qmeas.lindblad import LindbladModel, integrate_lindblad
 from qmeas.readout import TimeGrid
 from qmeas.sse import (
+    _chunk_task,
     _run_batch,
     ensemble_accumulate,
     ensemble_average,
@@ -228,3 +229,14 @@ class TestEnsemble:
             np.outer(solo.amplitudes[-1], solo.amplitudes[-1].conj()),
             atol=1e-15,
         )
+
+    def test_history_free_batch_keeps_every_ensemble_bit(self):
+        model = dephasing_model(kappa=0.7, h=pauli_x())
+        grid = TimeGrid(0.0, 1e-3, 150)
+        seeds = list(range(40, 104))
+        hist, recs, sums = _run_batch(model, plus_state(2), grid, seeds)
+        assert hist.shape == (64, 151, 2)
+        assert _run_batch(model, plus_state(2), grid, seeds, keep_history=False)[0] is None
+        chunk_sums, chunk_recs = _chunk_task((model, plus_state(2), grid, seeds))
+        assert np.array_equal(chunk_sums, sums)
+        assert np.array_equal(chunk_recs, recs.sum(axis=0))
