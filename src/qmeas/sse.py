@@ -25,8 +25,9 @@ intensity is 1/(4 kappa).
 Randomness is counter-based: trajectory i uses a Philox stream keyed by
 seed_base + i, with Gaussian variates drawn by numpy's standard_normal. A
 trajectory is bit-reproducible from its seed alone, independent of batch
-composition and worker scheduling: batches are processed in fixed chunks and
-reduced in fixed chunk order.
+composition and worker scheduling. Ensemble sums are taken over fixed chunks
+of 64 trajectories: each worker steps its contiguous share of chunks together
+in one time loop, and the per-chunk sums are still reduced in chunk order.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .hilbert import DensityMatrix, QuantumState
 from .readout import ReadoutRecord, TimeGrid
 
 CHUNK = 64  # trajectories per reduction chunk; fixed so results do not depend on worker count
+BLOCK = 256  # steps of Wiener increments drawn at once; equal to one long draw, less memory
 STEP_GUARD = 0.1
 
 
@@ -114,7 +116,7 @@ def _step_batch(
     out = psi + dt * (-1j * hpsi - 0.5 * kappa * b2psi) + (np.sqrt(kappa) * dw)[:, None] * bpsi
     norms = np.sqrt((np.abs(out) ** 2).sum(axis=1))
     if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise IntegrationError("stochastic step produced a non-finite or zero state")
+        raise IntegrationError("stochastic step gave a non-finite or zero state; reduce dt or kappa")
     return out / norms[:, None], exp_a
 
 
@@ -133,48 +135,68 @@ def sse_step(model: MonitoringModel, psi: QuantumState, dw: float, dt: float) ->
     return QuantumState(out[0])
 
 
-def _wiener_increments(seed: int, n_steps: int, dt: float) -> np.ndarray:
-    if seed < 0:
-        raise ValidationError("seeds must be non-negative")
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    return gen.standard_normal(n_steps) * np.sqrt(dt)
+def _by_chunk(x: np.ndarray, reduce, out: np.ndarray):
+    """out[c] = reduce over the rows of chunk c of x; ``reduce`` maps (g, rows,
+    ...) to (g, ...) and takes all full chunks at once, a partial last alone."""
+    full = len(x) // CHUNK
+    if full:
+        out[:full] = reduce(x[: full * CHUNK].reshape(full, CHUNK, *x.shape[1:]))
+    if full < len(out):
+        out[full] = reduce(x[full * CHUNK :][None])[0]
+
+
+def _projectors(g: np.ndarray) -> np.ndarray:
+    return np.einsum("gbi,gbj->gij", g, g.conj())
 
 
 def _run_batch(
     model: MonitoringModel,
     psi0: QuantumState,
     grid: TimeGrid,
-    seeds: list[int],
+    seeds: list[int] | range,
     keep_history: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Advance a batch of trajectories; returns (amplitude history, records,
-    projector sums per node).
-
-    History shape (batch, n+1, dim), or None without ``keep_history``;
-    records (batch, n); projector sums (n+1, dim, dim) accumulated over the
-    batch in index order. The history is only stored, never read, so records
-    and sums are the same bits either way.
+    projector_sums: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Advance a batch of trajectories in one time loop; returns (history,
+    records, projector sums). History (batch, n+1, dim), or None without
+    ``keep_history``; records (batch, n), or without the history their sums
+    per chunk of CHUNK seeds, (chunks, n); projector sums per chunk (chunks,
+    n+1, dim, dim), or None without ``projector_sums``. A chunk's sums add its
+    trajectories in seed order, so they are the same bits in any batch.
     """
     b = len(seeds)
     d = model.dim
     n = grid.n_steps
     dt = grid.dt
-    dws = np.stack([_wiener_increments(s, n, dt) for s in seeds])
+    n_chunks = -(-b // CHUNK)
+    gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
     psi = np.tile(psi0.amplitudes, (b, 1))
     hist = np.empty((b, n + 1, d), dtype=complex) if keep_history else None
-    recs = np.empty((b, n))
-    sums = np.zeros((n + 1, d, d), dtype=complex)
+    recs = np.empty((b if keep_history else n_chunks, n))
+    sums = np.empty((n_chunks, n + 1, d, d), dtype=complex) if projector_sums else None
     if hist is not None:
         hist[:, 0] = psi
-    sums[0] = np.einsum("bi,bj->ij", psi, psi.conj())
+    if sums is not None:
+        _by_chunk(psi, _projectors, sums[:, 0])
     h, a, kappa = model.H.entries, model.A.entries, model.kappa
     rec_scale = 1.0 / (2.0 * np.sqrt(kappa) * dt)
-    for k in range(n):
-        psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
-        recs[:, k] = exp_a + dws[:, k] * rec_scale
-        if hist is not None:
-            hist[:, k + 1] = psi
-        sums[k + 1] = np.einsum("bi,bj->ij", psi, psi.conj())
+    # Balanced blocks, so none is a single step when n > 1: numpy sums a
+    # (rows, 1) array pairwise, but wider ones row by row, as one long run does.
+    n_blocks = -(-n // BLOCK)
+    cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        m = stop - start
+        dws = np.stack([gen.standard_normal(m) for gen in gens]) * np.sqrt(dt)
+        block = recs[:, start:stop] if keep_history else np.empty((b, m))
+        for k in range(m):
+            psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
+            block[:, k] = exp_a + dws[:, k] * rec_scale
+            if hist is not None:
+                hist[:, start + k + 1] = psi
+            if sums is not None:
+                _by_chunk(psi, _projectors, sums[:, start + k + 1])
+        if not keep_history:
+            _by_chunk(block, lambda g: g.sum(axis=1), recs[:, start:stop])
     return hist, recs, sums
 
 
@@ -184,8 +206,10 @@ def simulate_trajectory(
     """One seeded trajectory with its extracted measurement record."""
     if model.dim != psi0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative; use a seed >= 0")
     _guard(model, grid.dt)
-    hist, recs, _ = _run_batch(model, psi0, grid, [seed])
+    hist, recs, _ = _run_batch(model, psi0, grid, [seed], projector_sums=False)
     return SseTrajectory(
         grid=grid,
         amplitudes=hist[0],
@@ -195,14 +219,10 @@ def simulate_trajectory(
 
 
 def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
+    """Pool task: per-chunk (projector sums, record sums) of one share of seeds."""
     model, psi0, grid, seeds = args
-    _, recs, sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
-    return sums, recs.sum(axis=0)
-
-
-def _chunk_seeds(seed_base: int, n_traj: int) -> list[list[int]]:
-    seeds = [seed_base + i for i in range(n_traj)]
-    return [seeds[i : i + CHUNK] for i in range(0, n_traj, CHUNK)]
+    _, rec_sums, sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
+    return sums, rec_sums
 
 
 def ensemble_accumulate(
@@ -215,24 +235,33 @@ def ensemble_accumulate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sums of trajectory projectors per grid node and of records per step.
 
-    Work is split into fixed chunks of CHUNK trajectories; chunk partial sums
-    are combined in chunk order, so the result is identical for any worker
-    count. Returns (projector sums (n+1, d, d), record sums (n,)).
+    Each worker runs a contiguous, balanced share of fixed chunks of CHUNK
+    trajectories in one time loop; chunk partial sums are combined in chunk
+    order, so the result is identical for any worker count. Returns
+    (projector sums (n+1, d, d), record sums (n,)).
     """
     if model.dim != psi0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
     if n_traj < 1:
         raise ValidationError("n_traj must be >= 1")
+    if seed_base < 0:
+        raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
     _guard(model, grid.dt)
-    tasks = [(model, psi0, grid, chunk) for chunk in _chunk_seeds(seed_base, n_traj)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+    n_chunks = -(-n_traj // CHUNK)
+    shares = max(1, min(workers, n_chunks))
+    cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [n_traj]
+    seeds = range(seed_base, seed_base + n_traj)
+    tasks = [(model, psi0, grid, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
             parts = list(ex.map(_chunk_task, tasks))
     else:
-        parts = [_chunk_task(t) for t in tasks]
-    rho_sum = parts[0][0].copy()
-    rec_sum = parts[0][1].copy()
-    for rs, cs in parts[1:]:
+        parts = [_chunk_task(tasks[0])]
+    sums = [s for share, _ in parts for s in share]
+    recs = [r for _, share in parts for r in share]
+    rho_sum = sums[0].copy()
+    rec_sum = recs[0].copy()
+    for rs, cs in zip(sums[1:], recs[1:]):
         rho_sum += rs
         rec_sum += cs
     return rho_sum, rec_sum

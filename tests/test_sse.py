@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeas.chm import MonitoringModel
-from qmeas.errors import ValidationError
+from qmeas.errors import IntegrationError, ValidationError
 from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -19,6 +19,7 @@ from qmeas.readout import TimeGrid
 from qmeas.sse import (
     _chunk_task,
     _run_batch,
+    _step_batch,
     ensemble_accumulate,
     ensemble_average,
     simulate_trajectory,
@@ -239,4 +240,96 @@ class TestEnsemble:
         assert _run_batch(model, plus_state(2), grid, seeds, keep_history=False)[0] is None
         chunk_sums, chunk_recs = _chunk_task((model, plus_state(2), grid, seeds))
         assert np.array_equal(chunk_sums, sums)
-        assert np.array_equal(chunk_recs, recs.sum(axis=0))
+        assert np.array_equal(chunk_recs, recs.sum(axis=0, keepdims=True))
+
+
+def _reference_chunk(model, psi0, grid, seeds):
+    """One chunk stepped on its own, as the per-chunk engine did: one long
+    Wiener draw per trajectory; returns (history, records, projector sums)."""
+    h, a, kappa, dt, n = model.H.entries, model.A.entries, model.kappa, grid.dt, grid.n_steps
+    dws = np.stack(
+        [np.random.Generator(np.random.Philox(key=s)).standard_normal(n) * np.sqrt(dt) for s in seeds]
+    )
+    rec_scale = 1.0 / (2.0 * np.sqrt(kappa) * dt)
+    psi = np.tile(psi0.amplitudes, (len(seeds), 1))
+    hist, recs, sums = [psi], np.empty((len(seeds), n)), [np.einsum("bi,bj->ij", psi, psi.conj())]
+    for k in range(n):
+        psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
+        recs[:, k] = exp_a + dws[:, k] * rec_scale
+        hist.append(psi)
+        sums.append(np.einsum("bi,bj->ij", psi, psi.conj()))
+    return np.stack(hist, axis=1), recs, np.array(sums)
+
+
+def _reference_accumulate(model, psi0, grid, n_traj, seed_base):
+    """Chunks of 64 trajectories run one by one, folded left in chunk order."""
+    parts = [
+        _reference_chunk(model, psi0, grid, range(seed_base + lo, seed_base + min(lo + 64, n_traj)))
+        for lo in range(0, n_traj, 64)
+    ]
+    rho_sum, rec_sum = parts[0][2].copy(), parts[0][1].sum(axis=0)
+    for _, recs, sums in parts[1:]:
+        rho_sum += sums
+        rec_sum += recs.sum(axis=0)
+    return rho_sum, rec_sum
+
+
+def _reference_case(dim):
+    if dim == 2:
+        return MonitoringModel(pauli_x(), pauli_z(), 0.5), plus_state(2)
+    a = HermitianOperator(np.array([[1.0, 0.3, 0.0], [0.3, 0.0, 0.2], [0.0, 0.2, -1.0]]))
+    h = HermitianOperator(np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]))
+    return MonitoringModel(h, a, 0.7), basis_state(3, 0)
+
+
+class TestAgainstPerChunkReference:
+    # 257 steps is not a multiple of the 256-step draw block
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_traj", [1, 64, 65, 150])
+    def test_ensemble_bits(self, dim, n_traj):
+        model, psi0 = _reference_case(dim)
+        for n_steps in (1, 257):
+            grid = TimeGrid(0.0, 1e-3, n_steps)
+            ref_rho, ref_rec = _reference_accumulate(model, psi0, grid, n_traj, 31)
+            for workers in (1, 2, 3):
+                rho, rec = ensemble_accumulate(model, psi0, grid, n_traj, 31, workers)
+                assert np.array_equal(rho, ref_rho), (n_steps, workers)
+                assert np.array_equal(rec, ref_rec), (n_steps, workers)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trajectory_bits(self, dim):
+        model, psi0 = _reference_case(dim)
+        grid = TimeGrid(0.0, 1e-3, 600)
+        hist, recs, _ = _reference_chunk(model, psi0, grid, [8])
+        traj = simulate_trajectory(model, psi0, grid, 8)
+        assert np.array_equal(traj.amplitudes, hist[0])
+        assert np.array_equal(traj.record.values, recs[0])
+
+
+class TestGuards:
+    def test_negative_seed_rejected_before_the_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("qmeas.sse.ProcessPoolExecutor", no_pool)
+        model, grid = dephasing_model(), TimeGrid(0.0, 1e-3, 10)
+        with pytest.raises(ValidationError, match="use a seed >= 0"):
+            ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=-1, workers=2)
+        with pytest.raises(ValidationError, match="use a seed >= 0"):
+            simulate_trajectory(model, plus_state(2), grid, -5)
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValidationError, match="n_traj must be >= 1"):
+            ensemble_accumulate(dephasing_model(), plus_state(2), TimeGrid(0.0, 1e-3, 10), 0, 1)
+
+    def test_step_guard_through_ensemble(self):
+        model = dephasing_model(kappa=100.0)
+        with pytest.raises(ValidationError, match="reduce dt"):
+            ensemble_accumulate(model, plus_state(2), TimeGrid(0.0, 0.01, 10), 4, 1, workers=2)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_zero_or_non_finite_state_trips_the_step_check(self, bad):
+        psi = np.array([[1.0, 0.0], [bad, bad]], dtype=complex)
+        a = pauli_z().entries
+        with pytest.raises(IntegrationError, match="reduce dt or kappa"):
+            _step_batch(np.zeros((2, 2)), a, 1.0, psi, np.zeros(2), 1e-3)
