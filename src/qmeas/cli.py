@@ -59,15 +59,23 @@ All unlisted keys default as documented in the README.
 """
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+CSV_SLICE = 4096  # rows formatted at once, so the text in memory stays small
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write a table given by columns: each item is a 1-D column or a 2-D
+    block of adjacent columns. Numbers get 17 significant digits, other cells
+    str(). Blocks of complex values are passed as ``.view(float)``, which puts
+    each re, im pair side by side."""
+    blocks = [np.asarray(c) for c in columns]
+    blocks = [c[:, None] if c.ndim == 1 else c for c in blocks]
+    kinds = [c.dtype.kind for c in blocks for _ in range(c.shape[1])]
+    template = ",".join("{:.17g}" if k in "biuf" else "{}" for k in kinds) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for lo in range(0, len(blocks[0]), CSV_SLICE):
+            cols = [col for c in blocks for col in c[lo : lo + CSV_SLICE].T.tolist()]
+            f.write("".join(template.format(*row) for row in zip(*cols)))
 
 
 def _json_ready(value):
@@ -119,14 +127,8 @@ def _run_lindblad(cfg: RunConfig, out: Path) -> dict:
     grid = _grid_from(cfg)
     model = LindbladModel(cfg.h, cfg.a, cfg.kappa)
     rhos = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
-    times = grid.times()
-    rows = []
-    for t, rho in zip(times, rhos):
-        row = [t]
-        for v in rho.entries.ravel():
-            row += [v.real, v.imag]
-        rows.append(row)
-    _write_csv(out / "trajectory.csv", ["t"] + _complex_header(model.dim), rows)
+    cols = [grid.times(), np.array([rho.entries.ravel() for rho in rhos]).view(float)]
+    _write_csv(out / "trajectory.csv", ["t"] + _complex_header(model.dim), cols)
     purity = float(np.trace(rhos[-1].entries @ rhos[-1].entries).real)
     return {"final_purity": purity, "n_output_states": len(rhos)}
 
@@ -142,17 +144,12 @@ def _run_chm(cfg: RunConfig, out: Path) -> dict:
         record = constant_record(_grid_from(cfg), cfg.record_value)
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     logs, amps = propagate_chm_series(model, cfg.psi0, record)
-    rows = []
-    for k, t in enumerate(record.grid.times()):
-        # row 0 is the initial state; the a column holds the value applied on
-        # the slice ending at t
-        a_val = record.values[max(k - 1, 0)]
-        row = [t, a_val, logs[k]]
-        for v in amps[k]:
-            row += [v.real, v.imag]
-        rows.append(row)
+    # row 0 is the initial state; the a column holds the value applied on
+    # the slice ending at t
+    a_col = np.concatenate([record.values[:1], record.values])
     header = ["t", "a", "log_norm"] + [c for i in range(model.dim) for c in (f"re_{i}", f"im_{i}")]
-    _write_csv(out / "selective_run.csv", header, rows)
+    cols = [record.grid.times(), a_col, logs, amps.view(float)]
+    _write_csv(out / "selective_run.csv", header, cols)
     log_density = 2.0 * logs[-1] + reference_log_weight(record, cfg.kappa)
     return {"final_log_norm": float(logs[-1]), "log_density": float(log_density)}
 
@@ -164,26 +161,24 @@ def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int) -> dict:
     ref = integrate_lindblad(
         LindbladModel(cfg.h, cfg.a, cfg.kappa), DensityMatrix.from_state(cfg.psi0), grid
     )
-    rows = []
-    worst = 0.0
-    for t, m, r in zip(grid.times(), rho_sum, ref):
+    expects, dists = [], []
+    for m, r in zip(rho_sum, ref):
         mean = DensityMatrix(0.5 * (m + m.conj().T) / cfg.n_traj)
-        d = trace_distance(mean, r)
-        worst = max(worst, d)
-        rows.append([t, float(np.trace(cfg.a.entries @ mean.entries).real), d])
-    _write_csv(out / "ensemble.csv", ["t", "expect_A", "trace_distance_lindblad"], rows)
-    return {"n_traj": cfg.n_traj, "max_trace_distance": worst}
+        dists.append(trace_distance(mean, r))
+        expects.append(float(np.trace(cfg.a.entries @ mean.entries).real))
+    header = ["t", "expect_A", "trace_distance_lindblad"]
+    _write_csv(out / "ensemble.csv", header, [grid.times(), expects, dists])
+    return {"n_traj": cfg.n_traj, "max_trace_distance": max(dists)}
 
 
 def _run_chain(cfg: RunConfig, out: Path) -> dict:
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
     evals, _ = cfg.a.eigh()
-    rows = []
-    for shot in range(cfg.n_shots):
-        rows.append([shot + 1, first.readouts[shot]] + list(first.populations[shot + 1]))
+    n = cfg.n_shots
     header = ["shot", "a"] + [f"pop_{i}" for i in range(cfg.a.dim)]
-    _write_csv(out / "chain.csv", header, rows)
+    cols = [np.arange(1, n + 1), first.readouts[:n], first.populations[1 : n + 1]]
+    _write_csv(out / "chain.csv", header, cols)
     collapsed, _, _ = run_chain_ensemble(
         k, cfg.psi0, cfg.n_shots, cfg.n_chains, cfg.seed, cfg.collapse_threshold
     )
@@ -202,11 +197,9 @@ def _run_zeno(cfg: RunConfig, out: Path, workers: int) -> dict:
     scan = run_zeno_scan(
         system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed, workers=workers
     )
-    rows = [
-        [k, p, d]
-        for k, p, d in zip(scan.kappa_values, scan.transfer_probabilities, scan.sse_trace_distances)
-    ]
-    _write_csv(out / "zeno_scan.csv", ["kappa", "transfer_probability", "sse_trace_distance"], rows)
+    header = ["kappa", "transfer_probability", "sse_trace_distance"]
+    cols = [scan.kappa_values, scan.transfer_probabilities, scan.sse_trace_distances]
+    _write_csv(out / "zeno_scan.csv", header, cols)
     return {
         "kappa_values": list(scan.kappa_values),
         "transfer_probabilities": list(scan.transfer_probabilities),
@@ -226,12 +219,8 @@ def _run_rabi(cfg: RunConfig, out: Path) -> dict:
         search_bins=cfg.search_bins,
         band_bins=cfg.band_bins,
     )
-    _write_csv(
-        out / "record.csv",
-        ["t", "a"],
-        zip(traj.grid.midpoints(), traj.record.values),
-    )
-    _write_csv(out / "spectrum.csv", ["frequency", "power"], spectrum)
+    _write_csv(out / "record.csv", ["t", "a"], [traj.grid.midpoints(), traj.record.values])
+    _write_csv(out / "spectrum.csv", ["frequency", "power"], [spectrum])
     soft = cfg.kappa * cfg.level_splitting**2 < cfg.rabi
     return {
         "peak_frequency": stats.peak_frequency,
@@ -255,11 +244,9 @@ def _run_transition(cfg: RunConfig, out: Path) -> dict:
         threshold_fraction=cfg.threshold_fraction,
         initial=initial,
     )
-    _write_csv(
-        out / "record.csv",
-        ["t", "a_raw", "a_smoothed"],
-        zip(result.trajectory.grid.midpoints(), result.trajectory.record.values, result.smoothed_record),
-    )
+    traj = result.trajectory
+    cols = [traj.grid.midpoints(), traj.record.values, result.smoothed_record]
+    _write_csv(out / "record.csv", ["t", "a_raw", "a_smoothed"], cols)
     return {
         "detected_times": list(result.detected_times),
         "n_detected": len(result.detected_times),
@@ -270,8 +257,8 @@ def _run_transition(cfg: RunConfig, out: Path) -> dict:
 
 def _run_verify(cfg: RunConfig, out: Path, quiet: bool) -> tuple[dict, bool]:
     results = run_all_checks()
-    rows = [[r.name, "pass" if r.passed else "fail", r.detail] for r in results]
-    _write_csv(out / "checks.csv", ["check", "status", "detail"], rows)
+    rows = [(r.name, "pass" if r.passed else "fail", r.detail) for r in results]
+    _write_csv(out / "checks.csv", ["check", "status", "detail"], list(zip(*rows)))
     for r in results:
         if not quiet:
             print(r.line())

@@ -28,6 +28,10 @@ trajectory is bit-reproducible from its seed alone, independent of batch
 composition and worker scheduling. Ensemble sums are taken over fixed chunks
 of 64 trajectories: each worker steps its contiguous share of chunks together
 in one time loop, and the per-chunk sums are still reduced in chunk order.
+
+Every step, of one state, a trajectory or an ensemble share, runs one
+buffered step kernel whose bits do not depend on the batch; the time loop
+checks for non-finite or zero states once per block of Wiener increments.
 """
 
 from __future__ import annotations
@@ -87,13 +91,6 @@ class EnsembleSummary:
     grid: TimeGrid = field(repr=False)
 
 
-def _matvec(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    # (dim, dim) applied to rows of (batch, dim). Broadcast multiply + fixed-axis
-    # sum keeps per-element arithmetic independent of batch size, which the
-    # bit-reproducibility contract relies on.
-    return (m[None, :, :] * psi[:, None, :]).sum(axis=2)
-
-
 def _guard(model: MonitoringModel, dt: float):
     scale = model.kappa * (2.0 * model.A.spectral_norm()) ** 2 * dt
     if scale > STEP_GUARD:
@@ -103,21 +100,73 @@ def _guard(model: MonitoringModel, dt: float):
         )
 
 
+def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: int):
+    """The Euler-Maruyama step for ``batch`` states in scratch arrays made
+    once: ``step(psi, dw, out, exp_a, norm)`` writes the normalized states to
+    ``out``, the pre-step <A> to ``exp_a`` and the norms before normalization
+    to ``norm``; callers run it under ``np.errstate`` and pass the norms to
+    ``_check_norms``. Each operation is an elementwise ufunc or a reduce over
+    a fixed axis, in the order of psi + dt (-i H psi - (kappa/2) B^2 psi) +
+    sqrt(kappa) dw B psi with B = A - <A>, so a state's bits do not depend on
+    its batch. H psi and A psi come from one multiply-and-reduce over [A; H].
+    """
+    d = len(a)
+    ah = np.concatenate([a, h])[None]
+    a3 = ah[:, :d]
+    half_kappa, sqrt_kappa = 0.5 * kappa, np.sqrt(kappa)
+    prod, prod_a = np.empty((batch, 2 * d, d), complex), np.empty((batch, d, d), complex)
+    ahpsi = np.empty((batch, 2 * d), complex)
+    apsi, hpsi = ahpsi[:, :d], ahpsi[:, d:]
+    t1, t2, bpsi = (np.empty((batch, d), complex) for _ in range(3))
+    c, noise, sq = np.empty(batch, complex), np.empty(batch), np.empty((batch, d))
+    c_real, exp_col = c.real, c.real[:, None]
+    mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
+
+    def step(psi, dw, out, exp_a, norm):
+        mul(ah, psi[:, None, :], out=prod)
+        add_reduce(prod, axis=2, out=ahpsi)
+        np.conjugate(psi, out=t1)
+        mul(t1, apsi, out=t1)
+        add_reduce(t1, axis=1, out=c)
+        mul(exp_col, psi, out=t1)
+        sub(apsi, t1, out=bpsi)
+        mul(a3, bpsi[:, None, :], out=prod_a)
+        add_reduce(prod_a, axis=2, out=t2)
+        mul(exp_col, bpsi, out=t1)
+        sub(t2, t1, out=t2)
+        mul(-1j, hpsi, out=t1)
+        mul(half_kappa, t2, out=t2)
+        sub(t1, t2, out=t1)
+        mul(dt, t1, out=t1)
+        add(psi, t1, out=t1)
+        mul(sqrt_kappa, dw, out=noise)
+        mul(noise[:, None], bpsi, out=t2)
+        add(t1, t2, out=t1)
+        np.abs(t1, out=sq)
+        np.square(sq, out=sq)
+        add_reduce(sq, axis=1, out=norm)
+        np.sqrt(norm, out=norm)
+        np.divide(t1, norm[:, None], out=out)
+        exp_a[...] = c_real
+
+    return step
+
+
+def _check_norms(norms: np.ndarray):
+    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
+        raise IntegrationError("stochastic step gave a non-finite or zero state; reduce dt or kappa")
+
+
 def _step_batch(
     h: np.ndarray, a: np.ndarray, kappa: float, psi: np.ndarray, dw: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler-Maruyama step for a batch of states; returns (new states,
     pre-step <A> values)."""
-    apsi = _matvec(a, psi)
-    exp_a = (psi.conj() * apsi).sum(axis=1).real
-    bpsi = apsi - exp_a[:, None] * psi
-    b2psi = _matvec(a, bpsi) - exp_a[:, None] * bpsi
-    hpsi = _matvec(h, psi)
-    out = psi + dt * (-1j * hpsi - 0.5 * kappa * b2psi) + (np.sqrt(kappa) * dw)[:, None] * bpsi
-    norms = np.sqrt((np.abs(out) ** 2).sum(axis=1))
-    if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-        raise IntegrationError("stochastic step gave a non-finite or zero state; reduce dt or kappa")
-    return out / norms[:, None], exp_a
+    out, exp_a, norms = np.empty(psi.shape, complex), np.empty(len(psi)), np.empty(len(psi))
+    with np.errstate(all="ignore"):
+        _step_kernel(h, a, kappa, dt, len(psi))(psi, dw, out, exp_a, norms)
+    _check_norms(norms)
+    return out, exp_a
 
 
 def sse_step(model: MonitoringModel, psi: QuantumState, dw: float, dt: float) -> QuantumState:
@@ -170,16 +219,17 @@ def _run_batch(
     dt = grid.dt
     n_chunks = -(-b // CHUNK)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
-    psi = np.tile(psi0.amplitudes, (b, 1))
-    hist = np.empty((b, n + 1, d), dtype=complex) if keep_history else None
+    psi, spare = np.tile(psi0.amplitudes, (b, 1)), np.empty((b, d), complex)
+    # time-major, so each step writes its states to one contiguous row
+    hist = np.empty((n + 1, b, d), dtype=complex) if keep_history else None
     recs = np.empty((b if keep_history else n_chunks, n))
     sums = np.empty((n_chunks, n + 1, d, d), dtype=complex) if projector_sums else None
     if hist is not None:
-        hist[:, 0] = psi
+        hist[0] = psi
     if sums is not None:
         _by_chunk(psi, _projectors, sums[:, 0])
-    h, a, kappa = model.H.entries, model.A.entries, model.kappa
-    rec_scale = 1.0 / (2.0 * np.sqrt(kappa) * dt)
+    step = _step_kernel(model.H.entries, model.A.entries, model.kappa, dt, b)
+    rec_scale = 1.0 / (2.0 * np.sqrt(model.kappa) * dt)
     # Balanced blocks, so none is a single step when n > 1: numpy sums a
     # (rows, 1) array pairwise, but wider ones row by row, as one long run does.
     n_blocks = -(-n // BLOCK)
@@ -187,17 +237,20 @@ def _run_batch(
     for start, stop in zip(cuts, cuts[1:]):
         m = stop - start
         dws = np.stack([gen.standard_normal(m) for gen in gens]) * np.sqrt(dt)
+        exps, norms = np.empty((b, m)), np.empty((b, m))
+        with np.errstate(all="ignore"):
+            for k in range(m):
+                out = hist[start + k + 1] if hist is not None else spare
+                step(psi, dws[:, k], out, exps[:, k], norms[:, k])
+                psi, spare = out, psi
+                if sums is not None:
+                    _by_chunk(psi, _projectors, sums[:, start + k + 1])
+        _check_norms(norms)
         block = recs[:, start:stop] if keep_history else np.empty((b, m))
-        for k in range(m):
-            psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
-            block[:, k] = exp_a + dws[:, k] * rec_scale
-            if hist is not None:
-                hist[:, start + k + 1] = psi
-            if sums is not None:
-                _by_chunk(psi, _projectors, sums[:, start + k + 1])
+        np.add(exps, dws * rec_scale, out=block)
         if not keep_history:
             _by_chunk(block, lambda g: g.sum(axis=1), recs[:, start:stop])
-    return hist, recs, sums
+    return None if hist is None else hist.transpose(1, 0, 2), recs, sums
 
 
 def simulate_trajectory(

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmeas import cli
 from qmeas.cli import dispatch, main
 from qmeas.config import parse_config
 from qmeas.errors import ConfigError
@@ -286,3 +287,38 @@ class TestRecordExportFormat:
         )
         rc, _ = run_cli(tmp_path, "recshort", text)
         assert rc == 1
+
+
+def _row_wise_csv(header, rows):
+    """The row-by-row CSV formatter the column-wise writer replaced, kept as
+    the reference for its bytes."""
+
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("slice_rows", [cli.CSV_SLICE, 3])
+    def test_matches_the_row_wise_formatter(self, tmp_path, monkeypatch, slice_rows):
+        monkeypatch.setattr(cli, "CSV_SLICE", slice_rows)
+        rng = np.random.default_rng(4)
+        n = 10
+        shots = np.arange(1, n + 1)
+        reals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        reals[:4] = [-0.0, 1e-300, 0.1, -2.5e17]
+        amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        amps[0, 1] = complex(-0.0, 1e-300)
+        names = [f"check_{k}, detail" for k in range(n)]
+        header = ["shot", "a", "re_0", "im_0", "re_1", "im_1", "name"]
+        rows = [
+            [int(s), r] + [part for v in amp for part in (v.real, v.imag)] + [name]
+            for s, r, amp, name in zip(shots, reals, amps, names)
+        ]
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, header, [shots, list(reals), amps.view(float), names])
+        assert path.read_bytes() == _row_wise_csv(header, rows).encode("utf-8")

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas.chm import MonitoringModel
 from qmeas.errors import IntegrationError, ValidationError
@@ -243,6 +247,23 @@ class TestEnsemble:
         assert np.array_equal(chunk_recs, recs.sum(axis=0, keepdims=True))
 
 
+def _reference_step(h, a, kappa, psi, dw, dt):
+    """The Euler-Maruyama step as a plain formula on fresh arrays, frozen
+    here so that the step kernel is held to it; returns (new states, <A>)."""
+
+    def matvec(m, x):
+        return (m[None, :, :] * x[:, None, :]).sum(axis=2)
+
+    apsi = matvec(a, psi)
+    exp_a = (psi.conj() * apsi).sum(axis=1).real
+    bpsi = apsi - exp_a[:, None] * psi
+    b2psi = matvec(a, bpsi) - exp_a[:, None] * bpsi
+    hpsi = matvec(h, psi)
+    out = psi + dt * (-1j * hpsi - 0.5 * kappa * b2psi) + (np.sqrt(kappa) * dw)[:, None] * bpsi
+    norms = np.sqrt((np.abs(out) ** 2).sum(axis=1))
+    return out / norms[:, None], exp_a
+
+
 def _reference_chunk(model, psi0, grid, seeds):
     """One chunk stepped on its own, as the per-chunk engine did: one long
     Wiener draw per trajectory; returns (history, records, projector sums)."""
@@ -254,7 +275,7 @@ def _reference_chunk(model, psi0, grid, seeds):
     psi = np.tile(psi0.amplitudes, (len(seeds), 1))
     hist, recs, sums = [psi], np.empty((len(seeds), n)), [np.einsum("bi,bj->ij", psi, psi.conj())]
     for k in range(n):
-        psi, exp_a = _step_batch(h, a, kappa, psi, dws[:, k], dt)
+        psi, exp_a = _reference_step(h, a, kappa, psi, dws[:, k], dt)
         recs[:, k] = exp_a + dws[:, k] * rec_scale
         hist.append(psi)
         sums.append(np.einsum("bi,bj->ij", psi, psi.conj()))
@@ -282,6 +303,11 @@ def _reference_case(dim):
     return MonitoringModel(h, a, 0.7), basis_state(3, 0)
 
 
+def _random_hermitian(rng, dim, evals):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return HermitianOperator((q * evals) @ q.conj().T)
+
+
 class TestAgainstPerChunkReference:
     # 257 steps is not a multiple of the 256-step draw block
     @pytest.mark.parametrize("dim", [2, 3])
@@ -304,6 +330,42 @@ class TestAgainstPerChunkReference:
         traj = simulate_trajectory(model, psi0, grid, 8)
         assert np.array_equal(traj.amplitudes, hist[0])
         assert np.array_equal(traj.record.values, recs[0])
+
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        batch=st.sampled_from([1, 3, 65]),
+        n_steps=st.sampled_from([1, 257]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_bits_on_random_models(self, dim, seed, degenerate, batch, n_steps):
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        if degenerate:
+            a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+            a_evals[1] = a_evals[0]
+        else:
+            a_evals = rng.uniform(-1.0, 1.0, dim)
+        model = MonitoringModel(h, _random_hermitian(rng, dim, a_evals), rng.uniform(0.1, 2.0))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        grid = TimeGrid(0.0, 1e-3, n_steps)
+        seeds = range(seed % 1000, seed % 1000 + batch)
+        parts = [_reference_chunk(model, psi0, grid, seeds[lo : lo + 64]) for lo in range(0, batch, 64)]
+        hist, recs, sums = _run_batch(model, psi0, grid, seeds)
+        assert np.array_equal(hist, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(recs, np.concatenate([p[1] for p in parts]))
+        assert np.array_equal(sums, np.stack([p[2] for p in parts]))
+        _, rec_sums, free_sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
+        assert np.array_equal(rec_sums, np.stack([p[1].sum(axis=0) for p in parts]))
+        assert np.array_equal(free_sums, sums)
+        # the one-step entry point runs the same kernel
+        psi = hist[:, -1] * rng.uniform(0.5, 2.0)
+        dw = rng.standard_normal(batch) * np.sqrt(grid.dt)
+        a, kappa = model.A.entries, model.kappa
+        out, exp_a = _step_batch(h.entries, a, kappa, psi, dw, grid.dt)
+        ref_out, ref_exp = _reference_step(h.entries, a, kappa, psi, dw, grid.dt)
+        assert np.array_equal(out, ref_out) and np.array_equal(exp_a, ref_exp)
 
 
 class TestGuards:
@@ -333,3 +395,35 @@ class TestGuards:
         a = pauli_z().entries
         with pytest.raises(IntegrationError, match="reduce dt or kappa"):
             _step_batch(np.zeros((2, 2)), a, 1.0, psi, np.zeros(2), 1e-3)
+
+    def test_nan_increment_mid_block_trips_the_block_check(self, monkeypatch):
+        real = np.random.Generator
+
+        def nan_in_trajectory(index):
+            """Generators whose ``index``-th one started draws one NaN in the
+            middle of its first block."""
+            started = []
+
+            class NanDraw:
+                def __init__(self, bit_generator):
+                    self.gen = real(bit_generator)
+                    self.poison = len(started) == index
+                    started.append(self)
+
+                def standard_normal(self, m):
+                    z = self.gen.standard_normal(m)
+                    if self.poison:
+                        z[m // 2], self.poison = np.nan, False
+                    return z
+
+            return NanDraw
+
+        model, grid = dephasing_model(h=pauli_x()), TimeGrid(0.0, 1e-3, 300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(np.random, "Generator", nan_in_trajectory(0))
+            with pytest.raises(IntegrationError, match="reduce dt or kappa"):
+                simulate_trajectory(model, plus_state(2), grid, 3)
+            monkeypatch.setattr(np.random, "Generator", nan_in_trajectory(4))
+            with pytest.raises(IntegrationError, match="reduce dt or kappa"):
+                ensemble_accumulate(model, plus_state(2), grid, 70, 3, workers=1)
