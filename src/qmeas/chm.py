@@ -10,10 +10,12 @@ per-step Gaussian reference measure of :mod:`qmeas.readout`, is the
 probability density of the record. The same dynamics has a time-sliced
 product form, one contraction factor exp(-kappa*(A-a_k)^2*dt) and one
 unitary factor exp(-i*H*dt) per slice, which is the discrete chain of fuzzy
-measurements interleaved with free evolution. Integrating the sliced density
-matrix over all readouts recovers the nonselective master equation of
-:mod:`qmeas.lindblad`; completeness of the readout family (generalized
-unitarity) is checked by Gauss-Hermite quadrature.
+measurements interleaved with free evolution. One RK4 loop integrates the
+equation for every caller, taking ||A|| and ||H|| once per record to set the
+substep count of each slice. Integrating the sliced density matrix over all
+readouts recovers the nonselective master equation of :mod:`qmeas.lindblad`;
+completeness of the readout family (generalized unitarity) is checked by
+Gauss-Hermite quadrature.
 """
 
 from __future__ import annotations
@@ -93,25 +95,6 @@ def effective_hamiltonian(model: MonitoringModel, a: float) -> NonHermitianOpera
     return NonHermitianOperator(model.H.entries - 1j * model.kappa * (shifted @ shifted))
 
 
-def _generator(model: MonitoringModel, a: float) -> np.ndarray:
-    shifted = model.A.entries - a * np.eye(model.dim)
-    return -1j * model.H.entries - model.kappa * (shifted @ shifted)
-
-
-def _stiffness(model: MonitoringModel, a_max: float) -> float:
-    return model.kappa * (model.A.spectral_norm() + a_max) ** 2 + model.H.spectral_norm()
-
-
-def _check_resolution(model: MonitoringModel, record: ReadoutRecord):
-    a_max = float(np.max(np.abs(record.values)))
-    budget = model.kappa * (model.A.spectral_norm() + a_max) ** 2 * record.grid.dt
-    if budget > RESOLUTION_GUARD:
-        raise ResolutionMismatchError(
-            f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; "
-            "the record grid is too coarse for this measurement strength"
-        )
-
-
 def _rk4_matrix(gen: np.ndarray, m: np.ndarray, dt: float, n_sub: int) -> np.ndarray:
     h = dt / n_sub
     for _ in range(n_sub):
@@ -123,38 +106,82 @@ def _rk4_matrix(gen: np.ndarray, m: np.ndarray, dt: float, n_sub: int) -> np.nda
     return m
 
 
+def _record_loop(
+    model: MonitoringModel,
+    record: ReadoutRecord,
+    start: np.ndarray,
+    log_norm: float,
+    *,
+    history: bool,
+    renormalize: bool,
+    min_substeps: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 along a record, max(min_substeps, ceil(stiffness*dt/SUBSTEP_TARGET))
+    substeps per slice, stiffness = kappa*(||A|| + |a|)^2 + ||H||. ``start`` is
+    a state vector or a matrix. ``renormalize`` adds the resolution guard and,
+    per slice, the norm checks and the renormalization into ``log_norm``.
+    Returns (log_norms, states) over all n_steps + 1 nodes with ``history``,
+    else over the end node alone."""
+    if start.shape[0] != model.dim:
+        raise DimensionMismatchError(f"model dim {model.dim} != state dim {start.shape[0]}")
+    norm_a = model.A.spectral_norm()
+    norm_h = model.H.spectral_norm()
+    dt = record.grid.dt
+    budget = model.kappa * (norm_a + float(np.max(np.abs(record.values)))) ** 2 * dt
+    if renormalize and budget > RESOLUTION_GUARD:
+        raise ResolutionMismatchError(
+            f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; the record "
+            "grid is too coarse for this measurement strength, reduce the record dt or kappa"
+        )
+    eye = np.eye(model.dim)
+    minus_ih = -1j * model.H.entries
+    rows = record.grid.n_steps + 1 if history else 1
+    logs = np.empty(rows)
+    states = np.empty((rows, *start.shape), dtype=complex)
+    logs[0], states[0] = log_norm, start
+    m = start
+    for k, a in enumerate(record.values):
+        a = float(a)
+        shifted = model.A.entries - a * eye
+        gen = minus_ih - model.kappa * (shifted @ shifted)
+        stiffness = model.kappa * (norm_a + abs(a)) ** 2 + norm_h
+        n_sub = max(min_substeps, int(np.ceil(stiffness * dt / SUBSTEP_TARGET)))
+        m = _rk4_matrix(gen, m, dt, n_sub)
+        if renormalize:
+            n = float(np.linalg.norm(m))
+            if not np.isfinite(n) or n == 0.0:
+                raise IntegrationError(
+                    f"state norm lost at record step {k + 1}; reduce the record dt or kappa"
+                )
+            if n > 1.0 + 1e-6:
+                raise IntegrationError(
+                    f"norm grew by {n - 1.0:.3g} in record step {k + 1}; integration "
+                    "unstable, reduce the record dt or kappa"
+                )
+            log_norm += np.log(n)
+            m = m / n
+        if history:
+            logs[k + 1], states[k + 1] = log_norm, m
+    logs[-1], states[-1] = log_norm, m
+    return logs, states
+
+
 def propagate_chm(
     model: MonitoringModel, psi0: QuantumState, record: ReadoutRecord
 ) -> tuple[QuantumState, ReadoutDensity]:
     """Integrate the monitoring equation along a readout record.
 
     a(t) is held constant within each record slice and the linear ODE is
-    advanced by RK4 (internally substepped so the per-substep damping
-    exponent stays small). The state is renormalized after every slice with
-    the norm folded into log_norm; the returned log-density is
-    2*log_norm + reference_log_weight(record, kappa).
+    advanced by RK4, substepped so the per-substep damping exponent stays
+    small (||A|| and ||H|| are taken once per record). The state is
+    renormalized after every slice with the norm folded into log_norm; the
+    returned log-density is 2*log_norm + reference_log_weight(record, kappa).
     """
-    if model.dim != psi0.dim:
-        raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
-    _check_resolution(model, record)
-    dt = record.grid.dt
-    psi = psi0.amplitudes.copy()
-    log_norm = psi0.log_norm
-    for k, a in enumerate(record.values):
-        gen = _generator(model, float(a))
-        n_sub = max(1, int(np.ceil(_stiffness(model, abs(float(a))) * dt / SUBSTEP_TARGET)))
-        psi = _rk4_matrix(gen, psi, dt, n_sub)
-        n = float(np.linalg.norm(psi))
-        if not np.isfinite(n) or n == 0.0:
-            raise IntegrationError(f"state norm lost at record step {k + 1}")
-        if n > 1.0 + 1e-6:
-            raise IntegrationError(
-                f"norm grew by {n - 1.0:.3g} in record step {k + 1}; integration unstable"
-            )
-        log_norm += np.log(n)
-        psi = psi / n
-    state = QuantumState(psi, log_norm)
-    density = ReadoutDensity(2.0 * log_norm + reference_log_weight(record, model.kappa))
+    logs, amps = _record_loop(
+        model, record, psi0.amplitudes, psi0.log_norm, history=False, renormalize=True
+    )
+    state = QuantumState(amps[-1], logs[-1])
+    density = ReadoutDensity(2.0 * logs[-1] + reference_log_weight(record, model.kappa))
     return state, density
 
 
@@ -163,49 +190,24 @@ def propagate_chm_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`propagate_chm` but returning the full per-step history:
     (log_norms, amplitudes) arrays of shapes (n_steps+1,) and (n_steps+1, dim)."""
-    if model.dim != psi0.dim:
-        raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
-    _check_resolution(model, record)
-    dt = record.grid.dt
-    n = record.grid.n_steps
-    amps = np.empty((n + 1, model.dim), dtype=complex)
-    logs = np.empty(n + 1)
-    psi = psi0.amplitudes.copy()
-    log_norm = psi0.log_norm
-    amps[0] = psi
-    logs[0] = log_norm
-    for k, a in enumerate(record.values):
-        gen = _generator(model, float(a))
-        n_sub = max(1, int(np.ceil(_stiffness(model, abs(float(a))) * dt / SUBSTEP_TARGET)))
-        psi = _rk4_matrix(gen, psi, dt, n_sub)
-        nn = float(np.linalg.norm(psi))
-        if not np.isfinite(nn) or nn == 0.0:
-            raise IntegrationError(f"state norm lost at record step {k + 1}")
-        if nn > 1.0 + 1e-6:
-            raise IntegrationError(
-                f"norm grew by {nn - 1.0:.3g} in record step {k + 1}; integration unstable"
-            )
-        log_norm += np.log(nn)
-        psi = psi / nn
-        amps[k + 1] = psi
-        logs[k + 1] = log_norm
-    return logs, amps
+    return _record_loop(
+        model, record, psi0.amplitudes, psi0.log_norm, history=True, renormalize=True
+    )
 
 
 def ode_propagator(model: MonitoringModel, record: ReadoutRecord, substeps: int = 1) -> np.ndarray:
     """Propagator matrix of the monitoring ODE along a record, by the same
-    per-slice RK4 scheme as :func:`propagate_chm` (no renormalization).
+    per-slice RK4 loop as :func:`propagate_chm` applied to the identity
+    (no renormalization, no resolution guard).
 
     ``substeps`` forces at least that many RK4 substeps per slice; it serves
     as the reference against which the sliced product form converges.
     """
-    m = np.eye(model.dim, dtype=complex)
-    dt = record.grid.dt
-    for a in record.values:
-        gen = _generator(model, float(a))
-        auto = int(np.ceil(_stiffness(model, abs(float(a))) * dt / SUBSTEP_TARGET))
-        m = _rk4_matrix(gen, m, dt, max(substeps, auto, 1))
-    return m
+    start = np.eye(model.dim, dtype=complex)
+    _, m = _record_loop(
+        model, record, start, 0.0, history=False, renormalize=False, min_substeps=max(substeps, 1)
+    )
+    return m[-1]
 
 
 def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialPropagator:

@@ -70,11 +70,6 @@ class SseTrajectory:
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
-    @property
-    def states(self) -> tuple[QuantumState, ...]:
-        """Materialize the state sequence (one QuantumState per grid node)."""
-        return tuple(QuantumState(row) for row in self.amplitudes)
-
     def expectation_series(self, obs) -> np.ndarray:
         """<A>(t) along the trajectory, vectorized over grid nodes."""
         av = self.amplitudes @ obs.entries.T

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeas.chm import (
+    RESOLUTION_GUARD,
+    SUBSTEP_TARGET,
     MonitoringModel,
     effective_hamiltonian,
     generalized_unitarity_defect,
@@ -12,7 +16,7 @@ from qmeas.chm import (
     single_step_log_density,
     sliced_propagator,
 )
-from qmeas.errors import ResolutionMismatchError, ValidationError
+from qmeas.errors import IntegrationError, ResolutionMismatchError, ValidationError
 from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -24,7 +28,7 @@ from qmeas.hilbert import (
     trace_distance,
 )
 from qmeas.lindblad import LindbladModel, integrate_lindblad
-from qmeas.readout import ReadoutRecord, TimeGrid, constant_record
+from qmeas.readout import ReadoutRecord, TimeGrid, constant_record, reference_log_weight
 
 H_ZERO = HermitianOperator(np.zeros((2, 2)))
 
@@ -87,8 +91,15 @@ class TestPropagate:
     def test_resolution_guard(self):
         model = MonitoringModel(H_ZERO, pauli_z(), 1.0)
         rec = constant_record(TimeGrid(0.0, 0.1, 5), 2.0)  # kappa*(1+2)^2*dt = 0.9
-        with pytest.raises(ResolutionMismatchError):
+        with pytest.raises(ResolutionMismatchError, match="reduce the record dt or kappa"):
             propagate_chm(model, plus_state(2), rec)
+
+    def test_resolution_guard_through_series(self):
+        # propagate_chm_series is the path the chm CLI scenario takes
+        model = MonitoringModel(H_ZERO, pauli_z(), 1.0)
+        rec = constant_record(TimeGrid(0.0, 0.1, 5), 2.0)
+        with pytest.raises(ResolutionMismatchError, match="exceeds 0.5; .*reduce the record dt"):
+            propagate_chm_series(model, plus_state(2), rec)
 
     def test_contraction_log_norm_never_positive(self):
         rng = np.random.default_rng(9)
@@ -104,8 +115,8 @@ class TestPropagate:
         rec = constant_record(TimeGrid(0.0, 0.05, 10), 0.5)
         state, _ = propagate_chm(model, plus_state(2), rec)
         logs, amps = propagate_chm_series(model, plus_state(2), rec)
-        assert logs[-1] == pytest.approx(state.log_norm, abs=1e-12)
-        assert np.allclose(amps[-1], state.amplitudes, atol=1e-12)
+        assert logs[-1] == state.log_norm
+        assert np.array_equal(amps[-1], state.amplitudes)
 
     def test_eigenstate_selectivity_rate(self):
         # component at a_n decays at kappa*(a_n - a_m)^2 when recording a_m
@@ -119,6 +130,132 @@ class TestPropagate:
         t = np.arange(n + 1) * dt
         rate = -np.polyfit(t, np.log(mags), 1)[0]
         assert rate == pytest.approx(kappa * 4.0, rel=0.005)
+
+
+def _reference_rk4(gen, m, dt, n_sub):
+    h = dt / n_sub
+    for _ in range(n_sub):
+        k1 = gen @ m
+        k2 = gen @ (m + 0.5 * h * k1)
+        k3 = gen @ (m + 0.5 * h * k2)
+        k4 = gen @ (m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return m
+
+
+def _reference_slices(model, record, min_substeps):
+    """(generator, substep count) of each record slice, both norms taken per
+    slice as the separate loops of propagate_chm, propagate_chm_series and
+    ode_propagator did; frozen here so the merged loop is held to it."""
+    for a in record.values:
+        shifted = model.A.entries - float(a) * np.eye(model.dim)
+        gen = -1j * model.H.entries - model.kappa * (shifted @ shifted)
+        stiffness = (
+            model.kappa * (model.A.spectral_norm() + abs(float(a))) ** 2 + model.H.spectral_norm()
+        )
+        auto = int(np.ceil(stiffness * record.grid.dt / SUBSTEP_TARGET))
+        yield gen, max(min_substeps, auto, 1)
+
+
+def _reference_series(model, psi0, record):
+    psi, log_norm = psi0.amplitudes.copy(), psi0.log_norm
+    amps, logs = [psi], [log_norm]
+    for gen, n_sub in _reference_slices(model, record, 1):
+        psi = _reference_rk4(gen, psi, record.grid.dt, n_sub)
+        n = float(np.linalg.norm(psi))
+        log_norm += np.log(n)
+        psi = psi / n
+        amps.append(psi)
+        logs.append(log_norm)
+    return np.array(logs), np.array(amps)
+
+
+def _reference_ode(model, record, substeps):
+    m = np.eye(model.dim, dtype=complex)
+    for gen, n_sub in _reference_slices(model, record, substeps):
+        m = _reference_rk4(gen, m, record.grid.dt, n_sub)
+    return m
+
+
+def _random_hermitian(rng, dim, evals):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return HermitianOperator((q * evals) @ q.conj().T)
+
+
+class TestMergedRecordLoop:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        n_steps=st.integers(1, 30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_the_per_slice_loops(self, dim, seed, degenerate, n_steps):
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        if degenerate:
+            a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+            a_evals[1] = a_evals[0]
+        else:
+            a_evals = rng.uniform(-1.0, 1.0, dim)
+        model = MonitoringModel(h, _random_hermitian(rng, dim, a_evals), rng.uniform(0.1, 2.0))
+        dt = rng.uniform(1e-3, 0.05)
+        # largest |a| that keeps kappa*(||A|| + |a|)^2*dt within the guard
+        a_lim = 0.99 * np.sqrt(RESOLUTION_GUARD / (model.kappa * dt)) - model.A.spectral_norm()
+        rec = ReadoutRecord(TimeGrid(0.0, dt, n_steps), rng.uniform(-a_lim, a_lim, n_steps))
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi0 = QuantumState.from_vector(v, rng.uniform(-1.0, 1.0))
+
+        ref_logs, ref_amps = _reference_series(model, psi0, rec)
+        logs, amps = propagate_chm_series(model, psi0, rec)
+        assert np.array_equal(logs, ref_logs) and np.array_equal(amps, ref_amps)
+        state, density = propagate_chm(model, psi0, rec)
+        assert state.log_norm == ref_logs[-1] and np.array_equal(state.amplitudes, ref_amps[-1])
+        assert density.log_density == 2.0 * ref_logs[-1] + reference_log_weight(rec, model.kappa)
+        above = 1 + max(n for _, n in _reference_slices(model, rec, 1))
+        for substeps in (1, above):
+            ref = _reference_ode(model, rec, substeps)
+            assert np.array_equal(ode_propagator(model, rec, substeps), ref)
+
+    def test_norms_taken_once_per_record(self, monkeypatch):
+        calls = []
+        real = HermitianOperator.spectral_norm
+
+        def counted(op):
+            calls.append(op)
+            return real(op)
+
+        monkeypatch.setattr(HermitianOperator, "spectral_norm", counted)
+        model = MonitoringModel(pauli_x(), pauli_z(), 0.5)
+        rec = ReadoutRecord(TimeGrid(0.0, 0.01, 50), np.linspace(-1.0, 1.0, 50))
+        propagate_chm(model, plus_state(2), rec)
+        propagate_chm_series(model, plus_state(2), rec)
+        ode_propagator(model, rec, substeps=3)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("propagate", [propagate_chm, propagate_chm_series])
+    @pytest.mark.parametrize(
+        "bad_norm, message",
+        [
+            (np.nan, "state norm lost at record step 3; reduce the record dt or kappa"),
+            (0.0, "state norm lost at record step 3; reduce the record dt or kappa"),
+            (1.0 + 1e-3, "norm grew by 0.001 in record step 3; .*reduce the record dt or kappa"),
+        ],
+    )
+    def test_norm_checks_trip(self, monkeypatch, propagate, bad_norm, message):
+        steps = []
+
+        def rk4(gen, m, dt, n_sub):
+            steps.append(n_sub)
+            if len(steps) < 3:
+                return m
+            return np.full(m.shape, bad_norm / np.sqrt(m.size), dtype=complex)
+
+        monkeypatch.setattr("qmeas.chm._rk4_matrix", rk4)
+        model = MonitoringModel(pauli_x(), pauli_z(), 0.5)
+        rec = constant_record(TimeGrid(0.0, 0.01, 10), 0.2)
+        with pytest.raises(IntegrationError, match=message):
+            propagate(model, plus_state(2), rec)
 
 
 class TestSlicedPropagator:
