@@ -67,6 +67,213 @@ class TestParseConfig:
             parse_config("[run]\nscenario = zeno\nseed = 1\nseed = 2\n")
 
 
+
+_LIN = "[run]\nscenario = lindblad\n[model]\n"
+_ZENO = "[run]\nscenario = zeno\n"
+
+# one invalid config per `raise ConfigError` in config.py: (text, line, message)
+INVALID_CONFIGS = [
+    (_LIN + "a = 1+0i x ; 0 1\n", 4, "bad complex entry 'x' (use forms like 1+0i)"),
+    (_LIN + "a = ;\n", 4, "empty matrix"),
+    (_LIN + "a = 1 0 ; 0\n", 4, "matrix must be square (rows separated by ';')"),
+    (
+        _LIN + "a = 0+0i 1+0i ; 0+0i 0+0i\n",
+        4,
+        "A is not Hermitian: entry (0,1)=1+0j does not conjugate-match (1,0)=0+0j",
+    ),
+    (_LIN + "a = 1\n", 4, "A: operator dimension must be >= 2, got 1"),
+    (_LIN + "psi0 = 1 0 0\n", 4, "psi0 must have 2 amplitudes, got 3"),
+    (_LIN + "psi0 = 0 0\n", 4, "psi0: cannot normalize a zero or non-finite vector"),
+    ("[run]\nscenario = zeno\n[wibble]\n", 3, "unknown section [wibble]"),
+    ("[run]\nscenario zeno\n", 2, "expected 'key = value', got 'scenario zeno'"),
+    ("scenario = zeno\n", 1, "key outside any [section]"),
+    ("[run]\nscenario = zeno\nwibble = 3\n", 3, "unknown key 'wibble' in section [run]"),
+    ("[run]\nscenario = zeno\nseed = 1\nseed = 2\n", 4, "duplicate key 'seed' in section [run]"),
+    ("[run]\nseed = 1\n", None, "missing required key 'scenario' in section [run]"),
+    (
+        "[run]\nscenario = teleport\n",
+        2,
+        "unknown scenario 'teleport' (choose from lindblad, chm, sse-ensemble, chain, "
+        "zeno, rabi-monitor, transition, verify)",
+    ),
+    ("[run]\nscenario = zeno\nseed = 1.5\n", 3, "seed must be an integer, got '1.5'"),
+    (_LIN + "kappa = abc\n", 4, "kappa must be a number, got 'abc'"),
+    ("[run]\nscenario = lindblad\n[grid]\ndt = 0\n", 4, "dt must be positive"),
+    ("[run]\nscenario = zeno\nseed = -1\n", 3, "seed must be non-negative"),
+    (_ZENO + "[sse]\nn_traj = 10\n", 4, "key 'n_traj' does not apply to scenario 'zeno'"),
+    (
+        _LIN + "preset = two-level\na = 1 0 ; 0 -1\n",
+        None,
+        "give either a preset or explicit matrices, not both",
+    ),
+    (_LIN + "preset = four-level\n", 4, "unknown preset 'four-level' (two-level, three-level)"),
+    (
+        _LIN + "h = 0 0 0 ; 0 0 0 ; 0 0 0\na = 1 0 ; 0 -1\n",
+        None,
+        "H and A must have the same dimension",
+    ),
+    (
+        _LIN + "preset = three-level\ndim = 2\n",
+        5,
+        "declared dim 2 does not match matrices of dim 3",
+    ),
+    (_ZENO + "[zeno]\nkappa_list = 1 two\n", 4, "kappa_list must be numbers, got '1 two'"),
+    (_ZENO + "[zeno]\nkappa_list = 1 0\n", 4, "kappa_list values must be positive"),
+    (_ZENO + "[zeno]\nkappa_list = 2 1\n", 4, "kappa_list must be sorted ascending"),
+    (
+        "[run]\nscenario = transition\n[transition]\ninitial = sideways\n",
+        4,
+        "initial must be 'ground' or 'excited'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,line,message", INVALID_CONFIGS)
+def test_invalid_config_message(text, line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+_DEFAULTS = {
+    "seed": 0,
+    "out": "",
+    "h": None,
+    "a": None,
+    "kappa": 0.5,
+    "psi0": None,
+    "level_splitting": 2.0,
+    "rabi": 1.0,
+    "t0": 0.0,
+    "dt": None,
+    "n_steps": None,
+    "record_value": 1.0,
+    "record_file": None,
+    "n_traj": 2000,
+    "zeno_kappas": (0.1, 1.0, 10.0, 100.0),
+    "zeno_n_traj": 400,
+    "strength": 0.1,
+    "n_shots": 500,
+    "n_chains": 1,
+    "collapse_threshold": 1e-4,
+    "search_bins": 8,
+    "band_bins": 25,
+    "max_offset_bins": 2,
+    "smoothing_window": None,
+    "threshold_fraction": 0.25,
+    "initial": "ground",
+}
+_TWO_LEVEL = {"h": [[0, 1], [1, 0]], "a": [[1, 0], [0, -1]], "psi0": [1, 0]}
+_ZEROS3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+# (config text, the values that differ from _DEFAULTS, raw echo or None for
+# the bare [run] section)
+RESOLVED_CONFIGS = [
+    ("[run]\nscenario = lindblad\n", dict(_TWO_LEVEL, dt=0.01, n_steps=200), None),
+    ("[run]\nscenario = chm\n", dict(_TWO_LEVEL, dt=0.05, n_steps=40), None),
+    ("[run]\nscenario = sse-ensemble\n", dict(_TWO_LEVEL, dt=1e-3, n_steps=2000), None),
+    ("[run]\nscenario = chain\n", dict(_TWO_LEVEL, psi0=[1 / np.sqrt(2)] * 2), None),
+    ("[run]\nscenario = zeno\n", {}, None),
+    ("[run]\nscenario = rabi-monitor\n", {"kappa": 0.04, "dt": 1e-3, "n_steps": 100_000}, None),
+    ("[run]\nscenario = transition\n", {"kappa": 4.0, "dt": 1e-3, "n_steps": 30_000}, None),
+    ("[run]\nscenario = verify\n", {}, None),
+    (
+        "[run]\nscenario = chain\nseed = 3\nout = runs/c\n[model]\ndim = 3\n"
+        "a = 1 0 0 ; 0 0 0 ; 0 0 -1\npsi0 = basis1\n[chain]\nstrength = 0.05\n"
+        "n_shots = 40\nn_chains = 7\ncollapse_threshold = 0.001\n",
+        {
+            "seed": 3,
+            "out": "runs/c",
+            "h": _ZEROS3,
+            "a": [[1, 0, 0], [0, 0, 0], [0, 0, -1]],
+            "psi0": [0, 1, 0],
+            "strength": 0.05,
+            "n_shots": 40,
+            "n_chains": 7,
+            "collapse_threshold": 1e-3,
+        },
+        {
+            "run": {"scenario": "chain", "seed": "3", "out": "runs/c"},
+            "model": {"dim": "3", "a": "1 0 0 ; 0 0 0 ; 0 0 -1", "psi0": "basis1"},
+            "chain": {
+                "strength": "0.05",
+                "n_shots": "40",
+                "n_chains": "7",
+                "collapse_threshold": "0.001",
+            },
+        },
+    ),
+    (
+        "[run]\nscenario = transition\n[model]\nlevel_splitting = 1.5\nrabi = 0.5\nkappa = 2\n"
+        "[grid]\nt0 = 1\ndt = 0.002\nn_steps = 100\n[transition]\ninitial = excited\n"
+        "smoothing_window = 0.25\nthreshold_fraction = 0.3\n",
+        {
+            "kappa": 2.0,
+            "level_splitting": 1.5,
+            "rabi": 0.5,
+            "t0": 1.0,
+            "dt": 0.002,
+            "n_steps": 100,
+            "smoothing_window": 0.25,
+            "threshold_fraction": 0.3,
+            "initial": "excited",
+        },
+        {
+            "run": {"scenario": "transition"},
+            "model": {"level_splitting": "1.5", "rabi": "0.5", "kappa": "2"},
+            "grid": {"t0": "1", "dt": "0.002", "n_steps": "100"},
+            "transition": {
+                "initial": "excited",
+                "smoothing_window": "0.25",
+                "threshold_fraction": "0.3",
+            },
+        },
+    ),
+    (
+        "[run]\nscenario = zeno\nseed = 9\n[zeno]\nkappa_list = 0.5 2 8\nn_traj = 64\n",
+        {"seed": 9, "zeno_kappas": (0.5, 2.0, 8.0), "zeno_n_traj": 64},
+        {
+            "run": {"scenario": "zeno", "seed": "9"},
+            "zeno": {"kappa_list": "0.5 2 8", "n_traj": "64"},
+        },
+    ),
+    (
+        "[run]\nscenario = chm\n[model]\npreset = Three-Level\nkappa = 0.25\npsi0 = plus\n"
+        "[chm]\nrecord_value = 0.5\n",
+        {
+            "h": _ZEROS3,
+            "a": [[0, 0, 0], [0, 1, 0], [0, 0, 3]],
+            "psi0": [1 / np.sqrt(3)] * 3,
+            "kappa": 0.25,
+            "dt": 0.05,
+            "n_steps": 40,
+            "record_value": 0.5,
+        },
+        {
+            "run": {"scenario": "chm"},
+            "model": {"preset": "Three-Level", "kappa": "0.25", "psi0": "plus"},
+            "chm": {"record_value": "0.5"},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("text,changed,raw", RESOLVED_CONFIGS)
+def test_resolved_config_values(text, changed, raw):
+    cfg = parse_config(text)
+    scenario = text.split("scenario = ")[1].split("\n")[0]
+    assert cfg.scenario == scenario
+    assert cfg.raw == (raw if raw is not None else {"run": {"scenario": scenario}})
+    expected = dict(_DEFAULTS, **changed)
+    got = {name: getattr(cfg, name) for name in expected}
+    for name in ("h", "a"):
+        got[name] = None if got[name] is None else got[name].entries.tolist()
+    got["psi0"] = None if cfg.psi0 is None else cfg.psi0.amplitudes.tolist()
+    assert got == expected
+    scalars = [name for name in expected if name not in ("h", "a", "psi0")]
+    assert {n: type(got[n]) for n in scalars} == {n: type(expected[n]) for n in scalars}
+
 def run_cli(tmp_path, name, text, *args):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text, encoding="utf-8")
