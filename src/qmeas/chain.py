@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import HermitianOperator, NonHermitianOperator, QuantumState
+from .readout import completeness_defect
 
 _COMPLETENESS_ORDER = 60
 
@@ -42,11 +43,7 @@ class FuzzyKraus:
         # quadrature check of POVM completeness, same Gaussian identity that
         # normalizes continuous readout densities
         evals = np.linalg.eigvalsh(self.A.entries)
-        center = 0.5 * (evals[0] + evals[-1])
-        b = np.sqrt(2.0 * self.strength) * (evals - center)
-        x, w = np.polynomial.hermite.hermgauss(_COMPLETENESS_ORDER)
-        s = np.einsum("i,im->m", w / np.sqrt(np.pi), np.exp(2.0 * np.outer(x, b) - b**2))
-        defect = float(np.max(np.abs(s - 1.0)))
+        defect = completeness_defect(evals, np.sqrt(2.0 * self.strength), _COMPLETENESS_ORDER)
         if defect > 1e-8:
             raise ValidationError(
                 f"fuzzy POVM completeness defect {defect:.3g} exceeds 1e-8 "

@@ -38,10 +38,12 @@ from .hilbert import (
     NonHermitianOperator,
     QuantumState,
 )
+from .lindblad import MonitoringModel
 from .readout import (
     ReadoutDensity,
     ReadoutRecord,
     TimeGrid,
+    completeness_defect,
     constant_record,
     reference_log_weight,
 )
@@ -49,26 +51,6 @@ from .readout import (
 RESOLUTION_GUARD = 0.5
 SUBSTEP_TARGET = 0.05
 DEFAULT_QUAD_ORDER = 40
-
-
-@dataclass(frozen=True)
-class MonitoringModel:
-    """Hamiltonian H, monitored observable A and resolution constant kappa
-    for the selective (readout-conditioned) description."""
-
-    H: HermitianOperator
-    A: HermitianOperator
-    kappa: float
-
-    def __post_init__(self):
-        if self.H.dim != self.A.dim:
-            raise DimensionMismatchError(f"H dim {self.H.dim} != A dim {self.A.dim}")
-        if not (np.isfinite(self.kappa) and self.kappa > 0):
-            raise ValidationError("kappa must be positive and finite")
-
-    @property
-    def dim(self) -> int:
-        return self.H.dim
 
 
 @dataclass(frozen=True)
@@ -289,17 +271,10 @@ def generalized_unitarity_defect(
         raise ValidationError("dt must be positive")
 
     evals = np.linalg.eigvalsh(model.A.entries)
-    center = 0.5 * (evals[0] + evals[-1])
-    b = np.sqrt(2.0 * model.kappa * dt) * (evals - center)
-
-    def defect(order: int) -> float:
-        x, w = np.polynomial.hermite.hermgauss(order)
-        s = np.einsum("i,im->m", w / np.sqrt(np.pi), np.exp(2.0 * np.outer(x, b) - b**2))
-        return float(np.max(np.abs(s - 1.0)))
-
-    d_full = defect(quad_order)
+    scale = np.sqrt(2.0 * model.kappa * dt)
+    d_full = completeness_defect(evals, scale, quad_order)
     if d_full > 1e-8:
-        d_half = defect(max(10, quad_order // 2))
+        d_half = completeness_defect(evals, scale, max(10, quad_order // 2))
         if d_full >= d_half:
             raise QuadratureError(
                 f"unitarity defect {d_full:.3g} not decreasing with quadrature order "

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chm import MonitoringModel, propagate_chm_series
-from .config import RunConfig, parse_config
+from .chm import propagate_chm_series
+from .config import RunConfig, describe_keys, parse_config
 from .errors import ConfigError, QmeasError, ValidationError
 from .experiments import (
     DrivenTwoLevel,
@@ -28,34 +28,20 @@ from .experiments import (
     run_zeno_scan,
 )
 from .hilbert import DensityMatrix, trace_distance
-from .lindblad import LindbladModel, integrate_lindblad
-from .readout import TimeGrid, constant_record, parse_record, reference_log_weight
+from .lindblad import MonitoringModel, integrate_lindblad
+from .readout import constant_record, parse_record, reference_log_weight
 from .sse import ensemble_accumulate
 from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
 from .verify import run_all_checks
 
-_EPILOG = """\
-config format: flat sections of key = value lines, e.g.
+_EPILOG = f"""\
+config format: [section] lines, each followed by key = value lines; '#' starts
+a comment. Matrix scenarios take [model] preset = two-level (H = sigma_x,
+A = sigma_z) or three-level (H = 0, A = diag(0,1,3)), or explicit matrices with
+rows separated by ';' and entries like 1+0i; psi0 is basis0, basis1, plus, or
+an amplitude row. The keys, with their defaults and where not all, scenarios:
 
-    [run]
-    scenario = zeno          # lindblad | chm | sse-ensemble | chain |
-                             # zeno | rabi-monitor | transition | verify
-    seed = 0
-    [model]
-    level_splitting = 2.0
-    rabi = 1.0
-    [zeno]
-    kappa_list = 0.1 1 10 100
-    n_traj = 400
-
-matrix scenarios take [model] preset = two-level (H = sigma_x, A = sigma_z)
-or three-level (H = 0, A = diag(0,1,3)), or explicit matrices with rows
-separated by ';' and entries like 1+0i, plus kappa and psi0 (basis0, basis1,
-plus, or an amplitude row); [grid] takes t0, dt, n_steps. Scenario extras:
-[chm] record_value or record_file; [sse] n_traj; [chain] strength, n_shots,
-n_chains, collapse_threshold; [rabi] search_bins, band_bins, max_offset_bins;
-[transition] smoothing_window, threshold_fraction, initial.
-All unlisted keys default as documented in the README.
+{describe_keys()}
 """
 
 
@@ -81,9 +67,7 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 def _json_ready(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (np.ndarray, list, tuple)):
         return [_json_ready(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
@@ -117,15 +101,9 @@ def _complex_header(dim: int) -> list[str]:
     return cols
 
 
-def _grid_from(cfg: RunConfig) -> TimeGrid:
-    if cfg.dt is None or cfg.n_steps is None:
-        raise ConfigError("this scenario needs [grid] dt and n_steps")
-    return TimeGrid(t0=cfg.t0, dt=cfg.dt, n_steps=cfg.n_steps)
-
-
-def _run_lindblad(cfg: RunConfig, out: Path) -> dict:
-    grid = _grid_from(cfg)
-    model = LindbladModel(cfg.h, cfg.a, cfg.kappa)
+def _run_lindblad(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+    grid = cfg.grid
+    model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     rhos = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
     cols = [grid.times(), np.array([rho.entries.ravel() for rho in rhos]).view(float)]
     _write_csv(out / "trajectory.csv", ["t"] + _complex_header(model.dim), cols)
@@ -133,7 +111,7 @@ def _run_lindblad(cfg: RunConfig, out: Path) -> dict:
     return {"final_purity": purity, "n_output_states": len(rhos)}
 
 
-def _run_chm(cfg: RunConfig, out: Path) -> dict:
+def _run_chm(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     if cfg.record_file is not None:
         try:
             text = Path(cfg.record_file).read_text(encoding="utf-8")
@@ -141,7 +119,7 @@ def _run_chm(cfg: RunConfig, out: Path) -> dict:
             raise ConfigError(f"cannot read record_file: {exc}") from exc
         record = parse_record(text)
     else:
-        record = constant_record(_grid_from(cfg), cfg.record_value)
+        record = constant_record(cfg.grid, cfg.record_value)
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     logs, amps = propagate_chm_series(model, cfg.psi0, record)
     # row 0 is the initial state; the a column holds the value applied on
@@ -154,13 +132,11 @@ def _run_chm(cfg: RunConfig, out: Path) -> dict:
     return {"final_log_norm": float(logs[-1]), "log_density": float(log_density)}
 
 
-def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int) -> dict:
-    grid = _grid_from(cfg)
+def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+    grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     rho_sum, _ = ensemble_accumulate(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
-    ref = integrate_lindblad(
-        LindbladModel(cfg.h, cfg.a, cfg.kappa), DensityMatrix.from_state(cfg.psi0), grid
-    )
+    ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
     expects, dists = [], []
     for m, r in zip(rho_sum, ref):
         mean = DensityMatrix(0.5 * (m + m.conj().T) / cfg.n_traj)
@@ -171,7 +147,7 @@ def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int) -> dict:
     return {"n_traj": cfg.n_traj, "max_trace_distance": max(dists)}
 
 
-def _run_chain(cfg: RunConfig, out: Path) -> dict:
+def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
     evals, _ = cfg.a.eigh()
@@ -192,7 +168,7 @@ def _run_chain(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-def _run_zeno(cfg: RunConfig, out: Path, workers: int) -> dict:
+def _run_zeno(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.zeno_kappas[0])
     scan = run_zeno_scan(
         system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed, workers=workers
@@ -207,11 +183,10 @@ def _run_zeno(cfg: RunConfig, out: Path, workers: int) -> dict:
     }
 
 
-def _run_rabi(cfg: RunConfig, out: Path) -> dict:
-    grid_needed = _grid_from(cfg)
+def _run_rabi(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+    grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
-    t_final = grid_needed.duration
-    traj, spectrum = run_rabi_monitor(system, t_final, grid_needed.dt, cfg.seed)
+    traj, spectrum = run_rabi_monitor(system, grid.duration, grid.dt, cfg.seed)
     stats = analyze_rabi_line(
         spectrum,
         system.rabi,
@@ -231,8 +206,8 @@ def _run_rabi(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-def _run_transition(cfg: RunConfig, out: Path) -> dict:
-    grid = _grid_from(cfg)
+def _run_transition(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+    grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
     initial = system.ground_state() if cfg.initial == "ground" else system.excited_state()
     result = run_transition_monitor(
@@ -255,46 +230,41 @@ def _run_transition(cfg: RunConfig, out: Path) -> dict:
     }
 
 
-def _run_verify(cfg: RunConfig, out: Path, quiet: bool) -> tuple[dict, bool]:
+def _run_verify(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     results = run_all_checks()
     rows = [(r.name, "pass" if r.passed else "fail", r.detail) for r in results]
     _write_csv(out / "checks.csv", ["check", "status", "detail"], list(zip(*rows)))
     for r in results:
         if not quiet:
             print(r.line())
-    ok = all(r.passed for r in results)
-    headline = {
+    return {
         "n_checks": len(results),
         "n_failed": sum(not r.passed for r in results),
         "failed": [r.name for r in results if not r.passed],
     }
-    return headline, ok
+
+
+# scenario -> runner(cfg, out, workers, quiet), which writes the CSV tables
+# and returns the summary headline
+_RUNNERS = {
+    "lindblad": _run_lindblad,
+    "chm": _run_chm,
+    "sse-ensemble": _run_sse_ensemble,
+    "chain": _run_chain,
+    "zeno": _run_zeno,
+    "rabi-monitor": _run_rabi,
+    "transition": _run_transition,
+    "verify": _run_verify,
+}
 
 
 def dispatch(cfg: RunConfig, out_dir: str | None, workers: int, quiet: bool = False) -> int:
-    """Run the configured scenario; returns the process exit status."""
+    """Run the configured scenario; returns the process exit status, 2 when a
+    headline reports failed checks."""
     out = Path(out_dir if out_dir else (cfg.out or f"runs/{cfg.scenario}"))
     out.mkdir(parents=True, exist_ok=True)
-    verify_ok = True
     try:
-        if cfg.scenario == "lindblad":
-            headline = _run_lindblad(cfg, out)
-        elif cfg.scenario == "chm":
-            headline = _run_chm(cfg, out)
-        elif cfg.scenario == "sse-ensemble":
-            headline = _run_sse_ensemble(cfg, out, workers)
-        elif cfg.scenario == "chain":
-            headline = _run_chain(cfg, out)
-        elif cfg.scenario == "zeno":
-            headline = _run_zeno(cfg, out, workers)
-        elif cfg.scenario == "rabi-monitor":
-            headline = _run_rabi(cfg, out)
-        elif cfg.scenario == "transition":
-            headline = _run_transition(cfg, out)
-        elif cfg.scenario == "verify":
-            headline, verify_ok = _run_verify(cfg, out, quiet)
-        else:  # unreachable: parse_config validates the scenario
-            raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+        headline = _RUNNERS[cfg.scenario](cfg, out, workers, quiet)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -306,7 +276,7 @@ def dispatch(cfg: RunConfig, out_dir: str | None, workers: int, quiet: bool = Fa
     if not quiet:
         brief = ", ".join(f"{k}={v}" for k, v in list(_json_ready(headline).items())[:3])
         print(f"{cfg.scenario}: wrote {len(outputs)} csv file(s) to {out} ({brief})")
-    return 0 if verify_ok else 2
+    return 2 if headline.get("n_failed") else 0
 
 
 def _resolve_workers(flag: int | None) -> int:
@@ -343,20 +313,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
         cfg = parse_config(text)
         workers = _resolve_workers(args.workers)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("seed must be non-negative")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
-        if args.seed < 0:
-            print("error: seed must be non-negative", file=sys.stderr)
-            return 1
         cfg.seed = args.seed
     return dispatch(cfg, args.out, workers, args.quiet)
 

@@ -18,16 +18,24 @@ Matrices are written as rows separated by ';' with complex entries like
 ``1+0i`` or ``0.5-0.25i`` separated by spaces. Unknown sections or keys are
 rejected with the offending line number. The named presets cover the stock
 scenarios so typical configs never spell out matrices.
+
+Every key is declared once, on the :class:`RunConfig` field that stores it:
+its section, the scenarios it applies to, its default, how its text is
+converted and whether it must be positive. Parsing and the ``--help`` key
+list both read those declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import textwrap
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .hilbert import HermitianOperator, QuantumState, basis_state, pauli_x, pauli_z
+from .readout import TimeGrid
 
 SCENARIOS = (
     "lindblad",
@@ -40,98 +48,156 @@ SCENARIOS = (
     "verify",
 )
 
-_MATRIX_SCENARIOS = {"lindblad", "chm", "sse-ensemble", "chain"}
-_DRIVEN_SCENARIOS = {"zeno", "rabi-monitor", "transition"}
+_ALL = frozenset(SCENARIOS)
+_MATRIX_SCENARIOS = frozenset({"lindblad", "chm", "sse-ensemble", "chain"})
+_DRIVEN_SCENARIOS = frozenset({"zeno", "rabi-monitor", "transition"})
+_GRID_SCENARIOS = (_MATRIX_SCENARIOS | _DRIVEN_SCENARIOS) - {"zeno", "chain"}
 
-# section -> key -> applicable scenarios (None = all)
-_SCHEMA: dict[str, dict[str, set[str] | None]] = {
-    "run": {"scenario": None, "seed": None, "out": None},
-    "model": {
-        "preset": _MATRIX_SCENARIOS,
-        "dim": _MATRIX_SCENARIOS,
-        "h": _MATRIX_SCENARIOS - {"chain"},
-        "a": _MATRIX_SCENARIOS,
-        "kappa": _MATRIX_SCENARIOS - {"chain"} | _DRIVEN_SCENARIOS,
-        "psi0": _MATRIX_SCENARIOS,
-        "level_splitting": _DRIVEN_SCENARIOS,
-        "rabi": _DRIVEN_SCENARIOS,
-    },
-    # zeno picks its grid per scan point and chains are discrete, so neither
-    # accepts a [grid] section
-    "grid": {
-        "t0": (_MATRIX_SCENARIOS | _DRIVEN_SCENARIOS) - {"zeno", "chain"},
-        "dt": (_MATRIX_SCENARIOS | _DRIVEN_SCENARIOS) - {"zeno", "chain"},
-        "n_steps": (_MATRIX_SCENARIOS | _DRIVEN_SCENARIOS) - {"zeno", "chain"},
-    },
-    "chm": {"record_value": {"chm"}, "record_file": {"chm"}},
-    "sse": {"n_traj": {"sse-ensemble"}},
-    "chain": {
-        "strength": {"chain"},
-        "n_shots": {"chain"},
-        "n_chains": {"chain"},
-        "collapse_threshold": {"chain"},
-    },
-    "zeno": {"kappa_list": {"zeno"}, "n_traj": {"zeno"}},
-    "rabi": {
-        "search_bins": {"rabi-monitor"},
-        "band_bins": {"rabi-monitor"},
-        "max_offset_bins": {"rabi-monitor"},
-    },
-    "transition": {
-        "smoothing_window": {"transition"},
-        "threshold_fraction": {"transition"},
-        "initial": {"transition"},
-    },
-}
 
-_GRID_DEFAULTS = {
-    "lindblad": (0.01, 200),
-    "chm": (0.05, 40),
-    "sse-ensemble": (1e-3, 2000),
-    "zeno": (None, None),  # chosen per kappa internally
-    "rabi-monitor": (1e-3, 100_000),
-    "transition": (1e-3, 30_000),
-    "chain": (None, None),  # chains are discrete; no grid
-    "verify": (None, None),
-}
+def _convert(key: str, kind: type, text: str, line: int):
+    """The value of a key's text: as given for str, an int, a finite float, or
+    for tuple a space-separated list of finite, positive, ascending floats."""
+    if kind is str:
+        return text
+    what = {int: "an integer", float: "a number", tuple: "numbers"}[kind]
+    try:
+        value = tuple(float(tok) for tok in text.split()) if kind is tuple else kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be {what}, got {text!r}", line) from None
+    if kind is int:
+        return value
+    if not all(map(math.isfinite, value if kind is tuple else (value,))):
+        raise ConfigError(f"{key} must be finite, got {text!r}", line)
+    if kind is tuple and (not value or min(value) <= 0):
+        raise ConfigError(f"{key} values must be positive", line)
+    if kind is tuple and any(b <= a for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{key} must be sorted ascending", line)
+    return value
+
+
+def _key(section, scenarios, default=None, kind=str, sign=None, name=None):
+    """Declare the config key ``[section] name``; name defaults to the field's.
+
+    ``scenarios`` is the set of scenarios the key applies to, or a dict that
+    maps each of them to its own default; ``default`` covers the rest. ``kind``
+    is the type the text converts to (see _convert), None for the keys that
+    the [model] code reads itself. ``sign`` is "positive" or "non-negative".
+    """
+    meta = {"section": section, "name": name, "kind": kind, "sign": sign}
+    meta["scenarios"] = set(scenarios)
+    meta["defaults"] = scenarios if isinstance(scenarios, dict) else {}
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Validated scenario configuration with all defaults resolved."""
+    """Validated scenario configuration with all defaults resolved.
 
-    scenario: str
-    seed: int = 0
-    out: str = ""
+    ``h``, ``a`` and ``psi0`` hold the operators and state that the [model]
+    keys resolve to; ``preset`` and ``dim`` are kept as given.
+    """
+
+    scenario: str = _key("run", _ALL, MISSING, kind=None)
+    seed: int = _key("run", _ALL, 0, int, sign="non-negative")
+    out: str = _key("run", _ALL, "")
     # matrix scenarios
-    h: HermitianOperator | None = None
-    a: HermitianOperator | None = None
-    kappa: float = 0.5
-    psi0: QuantumState | None = None
+    preset: str | None = _key("model", _MATRIX_SCENARIOS)
+    dim: int | None = _key("model", _MATRIX_SCENARIOS, None, int, sign="positive")
+    h: HermitianOperator | None = _key("model", _MATRIX_SCENARIOS - {"chain"}, kind=None)
+    a: HermitianOperator | None = _key("model", _MATRIX_SCENARIOS, kind=None)
+    kappa: float = _key(
+        "model",
+        {"lindblad": 0.5, "chm": 0.5, "sse-ensemble": 0.5, "rabi-monitor": 0.04, "transition": 4.0},
+        0.5,
+        float,
+        sign="positive",
+    )
+    psi0: QuantumState | None = _key("model", _MATRIX_SCENARIOS, kind=None)
     # driven scenarios
-    level_splitting: float = 2.0
-    rabi: float = 1.0
-    # grid
-    t0: float = 0.0
-    dt: float | None = None
-    n_steps: int | None = None
+    level_splitting: float = _key("model", _DRIVEN_SCENARIOS, 2.0, float, sign="positive")
+    rabi: float = _key("model", _DRIVEN_SCENARIOS, 1.0, float)
+    # grid; zeno picks its grid per scan point and chains are discrete
+    t0: float = _key("grid", _GRID_SCENARIOS, 0.0, float)
+    dt: float | None = _key(
+        "grid",
+        {
+            "lindblad": 0.01,
+            "chm": 0.05,
+            "sse-ensemble": 1e-3,
+            "rabi-monitor": 1e-3,
+            "transition": 1e-3,
+        },
+        kind=float,
+        sign="positive",
+    )
+    n_steps: int | None = _key(
+        "grid",
+        {
+            "lindblad": 200,
+            "chm": 40,
+            "sse-ensemble": 2000,
+            "rabi-monitor": 100_000,
+            "transition": 30_000,
+        },
+        kind=int,
+        sign="positive",
+    )
     # scenario extras
-    record_value: float = 1.0
-    record_file: str | None = None
-    n_traj: int = 2000
-    zeno_kappas: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
-    zeno_n_traj: int = 400
-    strength: float = 0.1
-    n_shots: int = 500
-    n_chains: int = 1
-    collapse_threshold: float = 1e-4
-    search_bins: int = 8
-    band_bins: int = 25
-    max_offset_bins: int = 2
-    smoothing_window: float | None = None
-    threshold_fraction: float = 0.25
-    initial: str = "ground"
+    record_value: float = _key("chm", {"chm"}, 1.0, float)
+    record_file: str | None = _key("chm", {"chm"})
+    n_traj: int = _key("sse", {"sse-ensemble"}, 2000, int, sign="positive")
+    zeno_kappas: tuple[float, ...] = _key(
+        "zeno", {"zeno"}, (0.1, 1.0, 10.0, 100.0), tuple, name="kappa_list"
+    )
+    zeno_n_traj: int = _key("zeno", {"zeno"}, 400, int, sign="positive", name="n_traj")
+    strength: float = _key("chain", {"chain"}, 0.1, float, sign="positive")
+    n_shots: int = _key("chain", {"chain"}, 500, int, sign="positive")
+    n_chains: int = _key("chain", {"chain"}, 1, int, sign="positive")
+    collapse_threshold: float = _key("chain", {"chain"}, 1e-4, float, sign="positive")
+    search_bins: int = _key("rabi", {"rabi-monitor"}, 8, int, sign="positive")
+    band_bins: int = _key("rabi", {"rabi-monitor"}, 25, int, sign="positive")
+    max_offset_bins: int = _key("rabi", {"rabi-monitor"}, 2, int)
+    smoothing_window: float | None = _key("transition", {"transition"}, None, float, "positive")
+    threshold_fraction: float = _key("transition", {"transition"}, 0.25, float)
+    initial: str = _key("transition", {"transition"}, "ground")
     raw: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
+
+    @property
+    def grid(self) -> TimeGrid:
+        """The [grid] time grid of the scenarios that take one."""
+        return TimeGrid(t0=self.t0, dt=self.dt, n_steps=self.n_steps)
+
+
+# (section, config name) -> the RunConfig field that declares the key
+KEYS = {
+    (f.metadata["section"], f.metadata["name"] or f.name): f
+    for f in fields(RunConfig)
+    if f.metadata
+}
+_SECTIONS = {section for section, _ in KEYS}
+
+
+def _show(value) -> str:
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def describe_keys() -> str:
+    """A line per config key: section, name, default (per scenario where it
+    differs) and, unless the key applies everywhere, its scenarios."""
+    lines = []
+    for (section, name), f in KEYS.items():
+        scenarios, defaults = f.metadata["scenarios"], f.metadata["defaults"]
+        text = f"[{section}] {name}"
+        if f.default is MISSING:
+            text += f" (required): {' | '.join(SCENARIOS)}"
+        elif defaults:
+            text += " = " + ", ".join(f"{s}: {_show(v)}" for s, v in defaults.items())
+        elif f.default not in (None, ""):
+            text += f" = {_show(f.default)}"
+        if scenarios != _ALL and not defaults:
+            text += f"  ({' '.join(s for s in SCENARIOS if s in scenarios)})"
+        lines.append(textwrap.fill(text, 79, subsequent_indent="    ", break_on_hyphens=False))
+    return "\n".join(lines)
 
 
 def _parse_complex(token: str, line: int) -> complex:
@@ -187,8 +253,9 @@ def _state_from_text(text: str, line: int, dim: int) -> QuantumState:
         raise ConfigError(f"psi0: {exc}", line) from None
 
 
-def _tokenize(text: str):
-    """Yield (line_no, section, key, value) triples; validates raw shape."""
+def _read_entries(text: str) -> dict[str, dict[str, tuple[int, str]]]:
+    """section -> key -> (line number, value text) of every known key."""
+    entries: dict[str, dict[str, tuple[int, str]]] = {}
     section = None
     for no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -196,69 +263,63 @@ def _tokenize(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", no)
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", no)
         if section is None:
             raise ConfigError("key outside any [section]", no)
-        key, value = line.split("=", 1)
-        yield no, section, key.strip().lower(), value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if (section, key) not in KEYS:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]", no)
+        if key in entries.setdefault(section, {}):
+            raise ConfigError(f"duplicate key {key!r} in section [{section}]", no)
+        entries[section][key] = (no, value)
+    return entries
 
 
-_FLOAT_KEYS = {
-    "kappa",
-    "level_splitting",
-    "rabi",
-    "t0",
-    "dt",
-    "record_value",
-    "strength",
-    "collapse_threshold",
-    "smoothing_window",
-    "threshold_fraction",
-}
-_INT_KEYS = {
-    "seed",
-    "dim",
-    "n_steps",
-    "n_traj",
-    "n_shots",
-    "n_chains",
-    "search_bins",
-    "band_bins",
-    "max_offset_bins",
-}
-_POSITIVE_KEYS = {
-    "kappa",
-    "level_splitting",
-    "dt",
-    "strength",
-    "collapse_threshold",
-    "smoothing_window",
-    "n_steps",
-    "n_traj",
-    "n_shots",
-    "n_chains",
-    "dim",
-    "search_bins",
-    "band_bins",
-}
+def _resolve_model(cfg: RunConfig, model: dict[str, tuple[int, str]]) -> None:
+    """Set h, a and psi0 of a matrix scenario from its [model] entries."""
+    h_text, a_text = model.get("h"), model.get("a")
+    if cfg.preset is not None and (h_text or a_text):
+        raise ConfigError("give either a preset or explicit matrices, not both")
+    if a_text is None:  # an h without an a is ignored
+        preset = (cfg.preset or "two-level").lower()
+        if preset == "two-level":
+            cfg.h, cfg.a = pauli_x(), pauli_z()
+        elif preset == "three-level":
+            cfg.h = HermitianOperator(np.zeros((3, 3)))
+            cfg.a = HermitianOperator(np.diag([0.0, 1.0, 3.0]))
+        else:
+            no, _ = model["preset"]
+            raise ConfigError(f"unknown preset {preset!r} (two-level, three-level)", no)
+    else:
+        cfg.a = _hermitian_from_text(a_text[1], a_text[0], "A")
+        if h_text is not None:
+            cfg.h = _hermitian_from_text(h_text[1], h_text[0], "H")
+        else:
+            cfg.h = HermitianOperator(np.zeros((cfg.a.dim, cfg.a.dim)))
+        if cfg.h.dim != cfg.a.dim:
+            raise ConfigError("H and A must have the same dimension")
+    dim = cfg.a.dim
+    if cfg.dim is not None and cfg.dim != dim:
+        raise ConfigError(
+            f"declared dim {cfg.dim} does not match matrices of dim {dim}", model["dim"][0]
+        )
+    if "psi0" in model:
+        cfg.psi0 = _state_from_text(model["psi0"][1], model["psi0"][0], dim)
+    elif cfg.scenario == "chain":
+        cfg.psi0 = _state_from_text("plus", 0, dim)
+    else:
+        cfg.psi0 = basis_state(dim, 0)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError naming the first bad
-    line. Missing optional keys get documented defaults."""
-    entries: dict[str, dict[str, tuple[int, str]]] = {}
-    for no, section, key, value in _tokenize(text):
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]", no)
-        entries.setdefault(section, {})
-        if key in entries[section]:
-            raise ConfigError(f"duplicate key {key!r} in section [{section}]", no)
-        entries[section][key] = (no, value)
-
+    line. Missing optional keys get their declared defaults."""
+    entries = _read_entries(text)
     run = entries.get("run", {})
     if "scenario" not in run:
         raise ConfigError("missing required key 'scenario' in section [run]")
@@ -267,125 +328,30 @@ def parse_config(text: str) -> RunConfig:
     if scen not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scen!r} (choose from {', '.join(SCENARIOS)})", line)
 
-    cfg = RunConfig(scenario=scen)
-    cfg.raw = {s: {k: v for k, (_, v) in kv.items()} for s, kv in entries.items()}
-
-    def scalar(section: str, key: str, default):
-        if section not in entries or key not in entries[section]:
-            return default
-        no, value = entries[section][key]
-        if key in _INT_KEYS:
-            try:
-                v = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}", no) from None
-        elif key in _FLOAT_KEYS:
-            try:
-                v = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}", no) from None
-        else:
-            v = value
-        if key in _POSITIVE_KEYS and v <= 0:
-            raise ConfigError(f"{key} must be positive", no)
-        if key == "seed" and v < 0:
-            raise ConfigError("seed must be non-negative", no)
-        return v
-
-    # reject keys that exist in the schema but not for this scenario
     for section, kv in entries.items():
         for key, (no, _) in kv.items():
-            allowed = _SCHEMA[section][key]
-            if allowed is not None and scen not in allowed:
+            if scen not in KEYS[section, key].metadata["scenarios"]:
                 raise ConfigError(f"key {key!r} does not apply to scenario {scen!r}", no)
 
-    cfg.seed = scalar("run", "seed", 0)
-    cfg.out = scalar("run", "out", "")
+    values = {}
+    for (section, key), f in KEYS.items():
+        meta = f.metadata
+        if meta["kind"] is None:
+            continue
+        if key not in entries.get(section, {}):
+            values[f.name] = meta["defaults"].get(scen, f.default)
+            continue
+        no, value = entries[section][key]
+        v = _convert(key, meta["kind"], value, no)
+        if meta["sign"] == "positive" and v <= 0 or meta["sign"] == "non-negative" and v < 0:
+            raise ConfigError(f"{key} must be {meta['sign']}", no)
+        values[f.name] = v
 
+    raw = {s: {k: v for k, (_, v) in kv.items()} for s, kv in entries.items()}
+    cfg = RunConfig(scenario=scen, raw=raw, **values)
     if scen in _MATRIX_SCENARIOS:
-        preset = scalar("model", "preset", None)
-        h_text = entries.get("model", {}).get("h")
-        a_text = entries.get("model", {}).get("a")
-        if preset is not None and (h_text or a_text):
-            raise ConfigError("give either a preset or explicit matrices, not both")
-        if preset is not None:
-            preset = preset.lower()
-            if preset == "two-level":
-                cfg.h, cfg.a = pauli_x(), pauli_z()
-            elif preset == "three-level":
-                cfg.h = HermitianOperator(np.zeros((3, 3)))
-                cfg.a = HermitianOperator(np.diag([0.0, 1.0, 3.0]))
-            else:
-                no, _ = entries["model"]["preset"]
-                raise ConfigError(f"unknown preset {preset!r} (two-level, three-level)", no)
-        else:
-            if a_text is None:
-                cfg.h, cfg.a = pauli_x(), pauli_z()  # two-level default
-            else:
-                cfg.a = _hermitian_from_text(a_text[1], a_text[0], "A")
-                if h_text is not None:
-                    cfg.h = _hermitian_from_text(h_text[1], h_text[0], "H")
-                else:
-                    cfg.h = HermitianOperator(np.zeros((cfg.a.dim, cfg.a.dim)))
-        if cfg.h is not None and cfg.a is not None and cfg.h.dim != cfg.a.dim:
-            raise ConfigError("H and A must have the same dimension")
-        declared_dim = scalar("model", "dim", None)
-        if declared_dim is not None and declared_dim != cfg.a.dim:
-            no, _ = entries["model"]["dim"]
-            raise ConfigError(
-                f"declared dim {declared_dim} does not match matrices of dim {cfg.a.dim}", no
-            )
-        cfg.kappa = scalar("model", "kappa", 0.5)
-        dim = cfg.a.dim
-        psi_entry = entries.get("model", {}).get("psi0")
-        if psi_entry is not None:
-            cfg.psi0 = _state_from_text(psi_entry[1], psi_entry[0], dim)
-        else:
-            cfg.psi0 = basis_state(dim, 0) if scen != "chain" else _state_from_text("plus", 0, dim)
-    elif scen in _DRIVEN_SCENARIOS:
-        cfg.level_splitting = scalar("model", "level_splitting", 2.0)
-        cfg.rabi = scalar("model", "rabi", 1.0)
-        default_kappa = {"zeno": 0.5, "rabi-monitor": 0.04, "transition": 4.0}[scen]
-        cfg.kappa = scalar("model", "kappa", default_kappa)
-
-    dt_default, n_default = _GRID_DEFAULTS[scen]
-    cfg.t0 = scalar("grid", "t0", 0.0)
-    cfg.dt = scalar("grid", "dt", dt_default)
-    cfg.n_steps = scalar("grid", "n_steps", n_default)
-
-    if scen == "chm":
-        cfg.record_value = scalar("chm", "record_value", 1.0)
-        cfg.record_file = scalar("chm", "record_file", None)
-    elif scen == "sse-ensemble":
-        cfg.n_traj = scalar("sse", "n_traj", 2000)
-    elif scen == "chain":
-        cfg.strength = scalar("chain", "strength", 0.1)
-        cfg.n_shots = scalar("chain", "n_shots", 500)
-        cfg.n_chains = scalar("chain", "n_chains", 1)
-        cfg.collapse_threshold = scalar("chain", "collapse_threshold", 1e-4)
-    elif scen == "zeno":
-        if "zeno" in entries and "kappa_list" in entries["zeno"]:
-            no, value = entries["zeno"]["kappa_list"]
-            try:
-                ks = tuple(float(tok) for tok in value.split())
-            except ValueError:
-                raise ConfigError(f"kappa_list must be numbers, got {value!r}", no) from None
-            if not ks or any(k <= 0 for k in ks):
-                raise ConfigError("kappa_list values must be positive", no)
-            if any(b <= a for a, b in zip(ks, ks[1:])):
-                raise ConfigError("kappa_list must be sorted ascending", no)
-            cfg.zeno_kappas = ks
-        cfg.zeno_n_traj = scalar("zeno", "n_traj", 400)
-    elif scen == "rabi-monitor":
-        cfg.search_bins = scalar("rabi", "search_bins", 8)
-        cfg.band_bins = scalar("rabi", "band_bins", 25)
-        cfg.max_offset_bins = scalar("rabi", "max_offset_bins", 2)
-    elif scen == "transition":
-        cfg.smoothing_window = scalar("transition", "smoothing_window", None)
-        cfg.threshold_fraction = scalar("transition", "threshold_fraction", 0.25)
-        cfg.initial = scalar("transition", "initial", "ground")
-        if cfg.initial not in ("ground", "excited"):
-            no, _ = entries["transition"]["initial"]
-            raise ConfigError("initial must be 'ground' or 'excited'", no)
-
+        _resolve_model(cfg, entries.get("model", {}))
+    if cfg.initial not in ("ground", "excited"):
+        no, _ = entries["transition"]["initial"]
+        raise ConfigError("initial must be 'ground' or 'excited'", no)
     return cfg

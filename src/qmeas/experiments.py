@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .chm import MonitoringModel
 from .hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -33,7 +32,7 @@ from .hilbert import (
     pauli_z,
     trace_distance,
 )
-from .lindblad import LindbladModel, lindblad_exact
+from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
 from .sse import SseTrajectory, ensemble_accumulate, simulate_trajectory
 
@@ -66,8 +65,7 @@ class DrivenTwoLevel:
     def monitoring_model(self) -> MonitoringModel:
         return MonitoringModel(self.drive_hamiltonian(), self.energy_observable(), self.kappa)
 
-    def lindblad_model(self) -> LindbladModel:
-        return LindbladModel(self.drive_hamiltonian(), self.energy_observable(), self.kappa)
+    lindblad_model = monitoring_model
 
     def dephasing_rate(self) -> float:
         """Coherence decay rate (kappa/2) * splitting^2 of the energy basis."""
@@ -139,13 +137,14 @@ def run_zeno_scan(
     distances = np.full(kappas.size, np.nan)
     for i, kappa in enumerate(kappas):
         sys_k = DrivenTwoLevel(system.level_splitting, system.rabi, float(kappa))
+        model = sys_k.monitoring_model()
         rho0 = DensityMatrix.from_state(sys_k.ground_state())
-        rho = lindblad_exact(sys_k.lindblad_model(), rho0, t_flip)
+        rho = lindblad_exact(model, rho0, t_flip)
         transfers[i] = rho.entries[0, 0].real
         if n_traj > 0:
             grid = _scan_grid(sys_k, t_flip)
             rho_sum, _ = ensemble_accumulate(
-                sys_k.monitoring_model(), sys_k.ground_state(), grid, n_traj, seed, workers
+                model, sys_k.ground_state(), grid, n_traj, seed, workers
             )
             mean_final = rho_sum[-1] / n_traj
             distances[i] = trace_distance(

@@ -32,8 +32,11 @@ EXACT_MAX_DIM = 16  # expm of the d^2 x d^2 superoperator costs ~d^6 (4096 x 409
 
 
 @dataclass(frozen=True)
-class LindbladModel:
-    """Hamiltonian H, monitored observable A and measurement resolution kappa.
+class MonitoringModel:
+    """Hamiltonian H, monitored observable A and measurement resolution kappa:
+    the one setup that the master equation here, the readout-conditioned
+    equation of :mod:`qmeas.chm` and the stochastic unraveling of
+    :mod:`qmeas.sse` all describe.
 
     kappa has units 1/(A^2 * time); larger kappa means a sharper (faster)
     measurement.
@@ -54,7 +57,10 @@ class LindbladModel:
         return self.H.dim
 
 
-def lindblad_rhs(model: LindbladModel, rho: DensityMatrix) -> np.ndarray:
+LindbladModel = MonitoringModel
+
+
+def lindblad_rhs(model: MonitoringModel, rho: DensityMatrix) -> np.ndarray:
     """-i[H, rho] - (kappa/2) [A, [A, rho]]; Hermitian and traceless."""
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho dim {rho.dim}")
@@ -81,7 +87,7 @@ def _settle(rho: np.ndarray, where: str, fix_non_finite: str, fix_drift: str) ->
 
 
 def integrate_lindblad(
-    model: LindbladModel,
+    model: MonitoringModel,
     rho0: DensityMatrix,
     grid: TimeGrid,
     store_every: int = 1,
@@ -123,7 +129,7 @@ def integrate_lindblad(
     return out
 
 
-def lindblad_exact(model: LindbladModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
+def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """State at time t from the exact propagator exp(L t) of the master equation.
 
     L acts on row-major vec(rho), where vec(X rho Y) = (X kron Y^T) vec(rho):

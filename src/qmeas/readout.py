@@ -98,6 +98,19 @@ def reference_log_weight(record: ReadoutRecord, kappa: float) -> float:
     return 0.5 * record.grid.n_steps * float(np.log(2.0 * kappa * record.grid.dt / np.pi))
 
 
+def completeness_defect(evals: np.ndarray, scale: float, order: int) -> float:
+    """Gauss-Hermite check of that identity for R_a = exp(-(scale^2/2)*(A-a)^2):
+    the largest |sum_i w_i/sqrt(pi) * exp(2*x_i*b - b^2) - 1| over the sorted
+    eigenvalues ``evals`` of A, with b = scale * (eigenvalue - spectral center).
+    A readout slice has scale sqrt(2*kappa*dt), a fuzzy shot sqrt(2*strength).
+    """
+    center = 0.5 * (evals[0] + evals[-1])
+    b = scale * (evals - center)
+    x, w = np.polynomial.hermite.hermgauss(order)
+    s = np.einsum("i,im->m", w / np.sqrt(np.pi), np.exp(2.0 * np.outer(x, b) - b**2))
+    return float(np.max(np.abs(s - 1.0)))
+
+
 def serialize_record(record: ReadoutRecord) -> str:
     """CSV text with header ``t,a`` and one row per step midpoint."""
     lines = ["t,a"]

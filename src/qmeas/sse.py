@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationError, ValidationError
-from .chm import MonitoringModel
 from .hilbert import DensityMatrix, QuantumState
+from .lindblad import MonitoringModel
 from .readout import ReadoutRecord, TimeGrid
 
 CHUNK = 64  # trajectories per reduction chunk; fixed so results do not depend on worker count

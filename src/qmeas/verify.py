@@ -42,7 +42,7 @@ from .hilbert import (
     plus_state,
     trace_distance,
 )
-from .lindblad import LindbladModel, integrate_lindblad
+from .lindblad import integrate_lindblad
 from .readout import TimeGrid, constant_record
 from .sse import ensemble_accumulate
 
@@ -60,7 +60,7 @@ class CheckResult:
 def check_dephasing_rate() -> CheckResult:
     """Pure dephasing: fitted decay rate of rho01 equals (kappa/2)*(gap)^2."""
     kappa = 0.5
-    model = LindbladModel(HermitianOperator(np.zeros((2, 2))), pauli_z(), kappa)
+    model = MonitoringModel(HermitianOperator(np.zeros((2, 2))), pauli_z(), kappa)
     grid = TimeGrid(0.0, 0.005, 200)
     rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     rhos = integrate_lindblad(model, rho0, grid)
@@ -82,7 +82,7 @@ def check_sse_lindblad_equivalence(n_traj: int = 2000, workers: int = 1) -> Chec
     h, a, kappa = pauli_x(), pauli_z(), 0.5
     grid = TimeGrid(0.0, 1e-3, 2000)
     psi0 = basis_state(2, 0)
-    rhos = integrate_lindblad(LindbladModel(h, a, kappa), DensityMatrix.from_state(psi0), grid)
+    rhos = integrate_lindblad(MonitoringModel(h, a, kappa), DensityMatrix.from_state(psi0), grid)
     rho_sum, _ = ensemble_accumulate(
         MonitoringModel(h, a, kappa), psi0, grid, n_traj, seed_base=1000, workers=workers
     )
@@ -104,7 +104,7 @@ def check_marginalization_equivalence() -> CheckResult:
     h, a, kappa = pauli_x(), pauli_z(), 0.5
     grid = TimeGrid(0.0, 0.01, 200)
     rho0 = DensityMatrix.from_state(basis_state(2, 0))
-    ref = integrate_lindblad(LindbladModel(h, a, kappa), rho0, grid)
+    ref = integrate_lindblad(MonitoringModel(h, a, kappa), rho0, grid)
     marg = marginalize_readouts(MonitoringModel(h, a, kappa), rho0, grid, quad_order=40)
     worst = max(trace_distance(x, y) for x, y in zip(marg, ref))
     return CheckResult(

@@ -6,7 +6,7 @@ import pytest
 
 from qmeas import cli
 from qmeas.cli import dispatch, main
-from qmeas.config import parse_config
+from qmeas.config import KEYS, parse_config
 from qmeas.errors import ConfigError
 from qmeas.readout import parse_record
 
@@ -135,6 +135,42 @@ def test_invalid_config_message(text, line, message):
     assert exc.value.line == line
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
+
+# every key that converts to float, with a scenario it applies to
+FLOAT_KEYS = [
+    ("model", "kappa", "lindblad"),
+    ("model", "level_splitting", "zeno"),
+    ("model", "rabi", "zeno"),
+    ("grid", "t0", "lindblad"),
+    ("grid", "dt", "lindblad"),
+    ("chm", "record_value", "chm"),
+    ("chain", "strength", "chain"),
+    ("chain", "collapse_threshold", "chain"),
+    ("transition", "smoothing_window", "transition"),
+    ("transition", "threshold_fraction", "transition"),
+    ("zeno", "kappa_list", "zeno"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key,scenario", FLOAT_KEYS)
+def test_non_finite_number_names_key_and_line(section, key, scenario, value):
+    text = f"[run]\nscenario = {scenario}\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"line 4: {key} must be finite, got {value!r}"
+
+
+def test_non_finite_list_entry_is_rejected():
+    with pytest.raises(ConfigError, match=r"^line 4: kappa_list must be finite, got '1 nan'$"):
+        parse_config("[run]\nscenario = zeno\n[zeno]\nkappa_list = 1 nan\n")
+
+
+def test_zeno_rejects_model_kappa():
+    # the scan takes its strengths from [zeno] kappa_list only
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[run]\nscenario = zeno\n[model]\nrabi = 1.0\nkappa = 0.5\n")
+    assert str(exc.value) == "line 5: key 'kappa' does not apply to scenario 'zeno'"
 
 _DEFAULTS = {
     "seed": 0,
@@ -274,6 +310,16 @@ def test_resolved_config_values(text, changed, raw):
     scalars = [name for name in expected if name not in ("h", "a", "psi0")]
     assert {n: type(got[n]) for n in scalars} == {n: type(expected[n]) for n in scalars}
 
+def test_help_lists_every_key(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for section, key in KEYS:
+        assert f"[{section}] {key}" in text
+    assert "[model] kappa = lindblad: 0.5, chm: 0.5," in text
+    assert "[zeno] kappa_list = 0.1 1.0 10.0 100.0  (zeno)" in text
+
 def run_cli(tmp_path, name, text, *args):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text, encoding="utf-8")
@@ -353,6 +399,13 @@ class TestDispatch:
         malformed = missing.replace("nope.csv", "bad_rec.csv")
         rc, _ = run_cli(tmp_path, "badrec", malformed)
         assert rc == 1
+
+    def test_non_finite_smoothing_window_exit_code(self, tmp_path, capsys):
+        text = "[run]\nscenario = transition\n[transition]\nsmoothing_window = nan\n"
+        rc, out = run_cli(tmp_path, "nanwin", text)
+        assert rc == 1
+        assert "line 4: smoothing_window must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/x.cfg", "--quiet"]) == 1

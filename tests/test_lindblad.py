@@ -27,6 +27,17 @@ from qmeas.readout import TimeGrid
 H_ZERO = HermitianOperator(np.zeros((2, 2)))
 
 
+def test_one_model_type_for_every_description():
+    import qmeas
+    from qmeas.chm import MonitoringModel
+    from qmeas.experiments import DrivenTwoLevel
+
+    assert LindbladModel is MonitoringModel is qmeas.MonitoringModel is qmeas.LindbladModel
+    assert DrivenTwoLevel.lindblad_model is DrivenTwoLevel.monitoring_model
+    with pytest.raises(ValidationError, match="kappa must be positive and finite"):
+        LindbladModel(H_ZERO, pauli_z(), float("inf"))
+
+
 class TestRhs:
     def test_diagonal_state_untouched_by_dephasing(self):
         model = LindbladModel(H_ZERO, pauli_z(), 1.3)
