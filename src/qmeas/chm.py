@@ -278,7 +278,8 @@ def generalized_unitarity_defect(
         if d_full >= d_half:
             raise QuadratureError(
                 f"unitarity defect {d_full:.3g} not decreasing with quadrature order "
-                f"(order {quad_order} vs {max(10, quad_order // 2)}: {d_half:.3g})"
+                f"(order {quad_order} vs {max(10, quad_order // 2)}: {d_half:.3g}); "
+                "reduce dt or kappa, or raise quad_order"
             )
     return d_full
 
@@ -322,7 +323,8 @@ def marginalize_readouts(
         lo = float(np.min(np.linalg.eigvalsh(rho)))
         if lo < -1e-9:
             raise IntegrationError(
-                f"marginalized state lost positivity at step {k + 1} (eigenvalue {lo:.3g})"
+                f"marginalized state lost positivity at step {k + 1} (eigenvalue {lo:.3g}); "
+                "reduce dt or kappa, or raise quad_order"
             )
         out.append(DensityMatrix(rho))
     return out

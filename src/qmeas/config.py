@@ -27,6 +27,7 @@ list both read those declarations.
 
 from __future__ import annotations
 
+import cmath
 import math
 import textwrap
 from dataclasses import MISSING, dataclass, field, fields
@@ -200,19 +201,25 @@ def describe_keys() -> str:
     return "\n".join(lines)
 
 
-def _parse_complex(token: str, line: int) -> complex:
-    t = token.strip().replace("i", "j")
+def _parse_complex(token: str, line: int, key: str) -> complex:
+    t = token.strip()
+    # only a trailing i is the imaginary unit; the i of inf is not
+    if t.endswith("i"):
+        t = t[:-1] + "j"
     try:
-        return complex(t)
+        value = complex(t)
     except ValueError:
         raise ConfigError(f"bad complex entry {token!r} (use forms like 1+0i)", line) from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {token!r}", line)
+    return value
 
 
-def parse_matrix(text: str, line: int) -> np.ndarray:
+def parse_matrix(text: str, line: int, key: str) -> np.ndarray:
     rows = [r for r in text.split(";") if r.strip()]
     if not rows:
         raise ConfigError("empty matrix", line)
-    data = [[_parse_complex(tok, line) for tok in row.split()] for row in rows]
+    data = [[_parse_complex(tok, line, key) for tok in row.split()] for row in rows]
     widths = {len(r) for r in data}
     if len(widths) != 1 or widths.pop() != len(data):
         raise ConfigError("matrix must be square (rows separated by ';')", line)
@@ -220,7 +227,7 @@ def parse_matrix(text: str, line: int) -> np.ndarray:
 
 
 def _hermitian_from_text(text: str, line: int, name: str) -> HermitianOperator:
-    m = parse_matrix(text, line)
+    m = parse_matrix(text, line, name.lower())
     defect = np.abs(m - m.conj().T)
     if defect.max() > 1e-12:
         i, j = np.unravel_index(np.argmax(defect), m.shape)
@@ -244,7 +251,7 @@ def _state_from_text(text: str, line: int, dim: int) -> QuantumState:
     key = text.strip().lower()
     if key in named:
         return named[key]()
-    amps = np.array([_parse_complex(tok, line) for tok in text.split()])
+    amps = np.array([_parse_complex(tok, line, "psi0") for tok in text.split()])
     if amps.size != dim:
         raise ConfigError(f"psi0 must have {dim} amplitudes, got {amps.size}", line)
     try:
@@ -285,7 +292,9 @@ def _resolve_model(cfg: RunConfig, model: dict[str, tuple[int, str]]) -> None:
     h_text, a_text = model.get("h"), model.get("a")
     if cfg.preset is not None and (h_text or a_text):
         raise ConfigError("give either a preset or explicit matrices, not both")
-    if a_text is None:  # an h without an a is ignored
+    if a_text is None and h_text is not None:
+        raise ConfigError("h needs a as well; give a, or drop h and use a preset", h_text[0])
+    if a_text is None:
         preset = (cfg.preset or "two-level").lower()
         if preset == "two-level":
             cfg.h, cfg.a = pauli_x(), pauli_z()

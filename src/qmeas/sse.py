@@ -32,6 +32,12 @@ in one time loop, and the per-chunk sums are still reduced in chunk order.
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
 checks for non-finite or zero states once per block of Wiener increments.
+The kernel's matrix-vector products, <A> and norms are sums over the state
+index. numpy adds fewer than eight scalars (a complex counts as two) left to
+right from +0.0 whether that index is the last axis or the outermost one, so
+below that size the kernel keeps the summed index outermost in memory and the
+reduce runs as passes over contiguous rows, with the same bits; longer sums
+keep the C layout, the only one that gives numpy's pairwise order.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .readout import ReadoutRecord, TimeGrid
 CHUNK = 64  # trajectories per reduction chunk; fixed so results do not depend on worker count
 BLOCK = 256  # steps of Wiener increments drawn at once; equal to one long draw, less memory
 STEP_GUARD = 0.1
+# numpy adds fewer scalars than this in one plain loop; longer sums go pairwise
+PAIRWISE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,15 @@ def _guard(model: MonitoringModel, dt: float):
         )
 
 
+def _summands(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Scratch for terms summed over its last axis: that axis outermost in
+    memory below PAIRWISE_BLOCK scalars, else the C layout (see _step_kernel)."""
+    n = shape[-1]
+    if n * np.dtype(dtype).itemsize // 8 < PAIRWISE_BLOCK:
+        return np.moveaxis(np.empty((n, *shape[:-1]), dtype), 0, -1)
+    return np.empty(shape, dtype)
+
+
 def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: int):
     """The Euler-Maruyama step for ``batch`` states in scratch arrays made
     once: ``step(psi, dw, out, exp_a, norm)`` writes the normalized states to
@@ -104,25 +121,34 @@ def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: i
     a fixed axis, in the order of psi + dt (-i H psi - (kappa/2) B^2 psi) +
     sqrt(kappa) dw B psi with B = A - <A>, so a state's bits do not depend on
     its batch. H psi and A psi come from one multiply-and-reduce over [A; H].
+
+    The terms of each sum over the state index sit in ``_summands`` scratch.
+    For complex d <= 3 and real d <= 7 numpy adds them left to right from
+    +0.0, signed zeros included, in either layout, and the summed index is
+    laid out outermost: the reduce then adds whole rows of the batch instead
+    of running one d-long loop per sum, with the same bits. Larger d keep
+    the C layout, since only a contiguous last axis gives numpy's pairwise
+    order; the layout is fixed by d here, not a tuning choice.
     """
     d = len(a)
     ah = np.concatenate([a, h])[None]
     a3 = ah[:, :d]
     half_kappa, sqrt_kappa = 0.5 * kappa, np.sqrt(kappa)
-    prod, prod_a = np.empty((batch, 2 * d, d), complex), np.empty((batch, d, d), complex)
+    prod, prod_a = _summands((batch, 2 * d, d), complex), _summands((batch, d, d), complex)
+    terms = _summands((batch, d), complex)  # conj(psi) A psi, summed into <A>
     ahpsi = np.empty((batch, 2 * d), complex)
     apsi, hpsi = ahpsi[:, :d], ahpsi[:, d:]
     t1, t2, bpsi = (np.empty((batch, d), complex) for _ in range(3))
-    c, noise, sq = np.empty(batch, complex), np.empty(batch), np.empty((batch, d))
+    c, noise, sq = np.empty(batch, complex), np.empty(batch), _summands((batch, d), float)
     c_real, exp_col = c.real, c.real[:, None]
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
 
     def step(psi, dw, out, exp_a, norm):
         mul(ah, psi[:, None, :], out=prod)
         add_reduce(prod, axis=2, out=ahpsi)
-        np.conjugate(psi, out=t1)
-        mul(t1, apsi, out=t1)
-        add_reduce(t1, axis=1, out=c)
+        np.conjugate(psi, out=terms)
+        mul(terms, apsi, out=terms)
+        add_reduce(terms, axis=1, out=c)
         mul(exp_col, psi, out=t1)
         sub(apsi, t1, out=bpsi)
         mul(a3, bpsi[:, None, :], out=prod_a)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas import chm
 from qmeas.chm import (
     RESOLUTION_GUARD,
     SUBSTEP_TARGET,
@@ -16,7 +17,12 @@ from qmeas.chm import (
     single_step_log_density,
     sliced_propagator,
 )
-from qmeas.errors import IntegrationError, ResolutionMismatchError, ValidationError
+from qmeas.errors import (
+    IntegrationError,
+    QuadratureError,
+    ResolutionMismatchError,
+    ValidationError,
+)
 from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -323,6 +329,31 @@ class TestUnitarityAndMarginalization:
     def test_defect_rejects_low_order(self):
         with pytest.raises(ValidationError):
             generalized_unitarity_defect(MonitoringModel(H_ZERO, pauli_z(), 1.0), 0.1, 5)
+
+    def test_non_converging_quadrature_is_rejected(self):
+        wide = MonitoringModel(H_ZERO, HermitianOperator(np.diag([0.0, 3.0])), 1.0)
+        with pytest.raises(QuadratureError, match="not decreasing.*raise quad_order$"):
+            generalized_unitarity_defect(wide, 1.0, 10)
+
+    def test_incomplete_kernel_stops_marginalization(self):
+        # converging (0.0041 at order 20, less than at order 10) but not to 1e-6
+        wide = MonitoringModel(H_ZERO, HermitianOperator(np.diag([0.0, 3.0])), 4.0)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        with pytest.raises(QuadratureError, match="not complete to 1e-6.*raise quad_order$"):
+            marginalize_readouts(wide, rho0, TimeGrid(0.0, 1.0, 1), 20)
+
+    def test_non_psd_kernel_trips_the_positivity_abort(self, monkeypatch):
+        real = chm._hermgauss_kernel
+
+        def non_psd(*args):
+            evals, q, _ = real(*args)
+            return evals, q, np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+
+        monkeypatch.setattr(chm, "_hermgauss_kernel", non_psd)
+        model = MonitoringModel(H_ZERO, pauli_z(), 0.5)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        with pytest.raises(IntegrationError, match="lost positivity at step 1.*raise quad_order$"):
+            marginalize_readouts(model, rho0, TimeGrid(0.0, 0.01, 3), 40)
 
     def test_single_step_dephasing_kernel(self):
         kappa, dt = 0.5, 0.01

@@ -74,6 +74,7 @@ _ZENO = "[run]\nscenario = zeno\n"
 # one invalid config per `raise ConfigError` in config.py: (text, line, message)
 INVALID_CONFIGS = [
     (_LIN + "a = 1+0i x ; 0 1\n", 4, "bad complex entry 'x' (use forms like 1+0i)"),
+    (_LIN + "a = nan 0 ; 0 1\n", 4, "a must be finite, got 'nan'"),
     (_LIN + "a = ;\n", 4, "empty matrix"),
     (_LIN + "a = 1 0 ; 0\n", 4, "matrix must be square (rows separated by ';')"),
     (
@@ -107,6 +108,7 @@ INVALID_CONFIGS = [
         "give either a preset or explicit matrices, not both",
     ),
     (_LIN + "preset = four-level\n", 4, "unknown preset 'four-level' (two-level, three-level)"),
+    (_LIN + "h = 1 0 ; 0 -1\n", 4, "h needs a as well; give a, or drop h and use a preset"),
     (
         _LIN + "h = 0 0 0 ; 0 0 0 ; 0 0 0\na = 1 0 ; 0 -1\n",
         None,
@@ -164,6 +166,22 @@ def test_non_finite_number_names_key_and_line(section, key, scenario, value):
 def test_non_finite_list_entry_is_rejected():
     with pytest.raises(ConfigError, match=r"^line 4: kappa_list must be finite, got '1 nan'$"):
         parse_config("[run]\nscenario = zeno\n[zeno]\nkappa_list = 1 nan\n")
+
+
+# a non-finite entry of each [model] matrix or state key, on line 4
+NON_FINITE_ENTRIES = [
+    ("a", "a = {} 0 ; 0 1"),
+    ("h", "h = 0 {} ; {} 0\na = 1 0 ; 0 -1"),
+    ("psi0", "psi0 = 1 {}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1+infi", "nani"])
+@pytest.mark.parametrize("key,body", NON_FINITE_ENTRIES)
+def test_non_finite_entry_names_key_and_line(key, body, value):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_LIN + body.format(value, value) + "\n")
+    assert str(exc.value) == f"line 4: {key} must be finite, got {value!r}"
 
 
 def test_zeno_rejects_model_kappa():
@@ -405,6 +423,14 @@ class TestDispatch:
         rc, out = run_cli(tmp_path, "nanwin", text)
         assert rc == 1
         assert "line 4: smoothing_window must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key,body", NON_FINITE_ENTRIES)
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, key, body, value):
+        rc, out = run_cli(tmp_path, f"{key}{value}", _LIN + body.format(value, value) + "\n")
+        assert rc == 1
+        assert f"line 4: {key} must be finite, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file(self):

@@ -24,6 +24,7 @@ from qmeas.sse import (
     _chunk_task,
     _run_batch,
     _step_batch,
+    _step_kernel,
     ensemble_accumulate,
     ensemble_average,
     simulate_trajectory,
@@ -31,6 +32,12 @@ from qmeas.sse import (
 )
 
 H_ZERO = HermitianOperator(np.zeros((2, 2)))
+
+
+def _same_bits(x, y) -> bool:
+    """Same dtype, shape and bytes; unlike np.array_equal, -0.0 is not +0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def dephasing_model(kappa=1.0, h=None):
@@ -60,7 +67,7 @@ class TestStep:
         model = dephasing_model()
         a = sse_step(model, plus_state(2), 0.017, 1e-3)
         b = sse_step(model, plus_state(2), 0.017, 1e-3)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert _same_bits(a.amplitudes, b.amplitudes)
 
     def test_step_guard(self):
         model = dephasing_model(kappa=100.0)
@@ -111,8 +118,8 @@ class TestTrajectory:
         grid = TimeGrid(0.0, 1e-3, 500)
         t1 = simulate_trajectory(model, plus_state(2), grid, 99)
         t2 = simulate_trajectory(model, plus_state(2), grid, 99)
-        assert np.array_equal(t1.amplitudes, t2.amplitudes)
-        assert np.array_equal(t1.record.values, t2.record.values)
+        assert _same_bits(t1.amplitudes, t2.amplitudes)
+        assert _same_bits(t1.record.values, t2.record.values)
 
     def test_identity_observable_record_is_pure_noise(self):
         kappa, dt = 1.0, 1e-3
@@ -221,8 +228,8 @@ class TestEnsemble:
         grid = TimeGrid(0.0, 1e-3, 120)
         one, rec_one = ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=9, workers=1)
         two, rec_two = ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=9, workers=3)
-        assert np.array_equal(one, two)
-        assert np.array_equal(rec_one, rec_two)
+        assert _same_bits(one, two)
+        assert _same_bits(rec_one, rec_two)
 
     def test_trajectory_identical_inside_and_outside_ensemble(self):
         model = dephasing_model(kappa=0.5, h=pauli_x())
@@ -243,13 +250,14 @@ class TestEnsemble:
         assert hist.shape == (64, 151, 2)
         assert _run_batch(model, plus_state(2), grid, seeds, keep_history=False)[0] is None
         chunk_sums, chunk_recs = _chunk_task((model, plus_state(2), grid, seeds))
-        assert np.array_equal(chunk_sums, sums)
-        assert np.array_equal(chunk_recs, recs.sum(axis=0, keepdims=True))
+        assert _same_bits(chunk_sums, sums)
+        assert _same_bits(chunk_recs, recs.sum(axis=0, keepdims=True))
 
 
-def _reference_step(h, a, kappa, psi, dw, dt):
+def _reference_raw(h, a, kappa, psi, dw, dt):
     """The Euler-Maruyama step as a plain formula on fresh arrays, frozen
-    here so that the step kernel is held to it; returns (new states, <A>)."""
+    here so that the step kernel is held to it; returns (states before
+    normalization, their norms, <A>)."""
 
     def matvec(m, x):
         return (m[None, :, :] * x[:, None, :]).sum(axis=2)
@@ -261,6 +269,12 @@ def _reference_step(h, a, kappa, psi, dw, dt):
     hpsi = matvec(h, psi)
     out = psi + dt * (-1j * hpsi - 0.5 * kappa * b2psi) + (np.sqrt(kappa) * dw)[:, None] * bpsi
     norms = np.sqrt((np.abs(out) ** 2).sum(axis=1))
+    return out, norms, exp_a
+
+
+def _reference_step(h, a, kappa, psi, dw, dt):
+    """The reference step normalized; returns (new states, <A>)."""
+    out, norms, exp_a = _reference_raw(h, a, kappa, psi, dw, dt)
     return out / norms[:, None], exp_a
 
 
@@ -319,8 +333,8 @@ class TestAgainstPerChunkReference:
             ref_rho, ref_rec = _reference_accumulate(model, psi0, grid, n_traj, 31)
             for workers in (1, 2, 3):
                 rho, rec = ensemble_accumulate(model, psi0, grid, n_traj, 31, workers)
-                assert np.array_equal(rho, ref_rho), (n_steps, workers)
-                assert np.array_equal(rec, ref_rec), (n_steps, workers)
+                assert _same_bits(rho, ref_rho), (n_steps, workers)
+                assert _same_bits(rec, ref_rec), (n_steps, workers)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trajectory_bits(self, dim):
@@ -328,8 +342,8 @@ class TestAgainstPerChunkReference:
         grid = TimeGrid(0.0, 1e-3, 600)
         hist, recs, _ = _reference_chunk(model, psi0, grid, [8])
         traj = simulate_trajectory(model, psi0, grid, 8)
-        assert np.array_equal(traj.amplitudes, hist[0])
-        assert np.array_equal(traj.record.values, recs[0])
+        assert _same_bits(traj.amplitudes, hist[0])
+        assert _same_bits(traj.record.values, recs[0])
 
     @given(
         dim=st.integers(2, 8),
@@ -353,19 +367,69 @@ class TestAgainstPerChunkReference:
         seeds = range(seed % 1000, seed % 1000 + batch)
         parts = [_reference_chunk(model, psi0, grid, seeds[lo : lo + 64]) for lo in range(0, batch, 64)]
         hist, recs, sums = _run_batch(model, psi0, grid, seeds)
-        assert np.array_equal(hist, np.concatenate([p[0] for p in parts]))
-        assert np.array_equal(recs, np.concatenate([p[1] for p in parts]))
-        assert np.array_equal(sums, np.stack([p[2] for p in parts]))
+        assert _same_bits(hist, np.concatenate([p[0] for p in parts]))
+        assert _same_bits(recs, np.concatenate([p[1] for p in parts]))
+        assert _same_bits(sums, np.stack([p[2] for p in parts]))
         _, rec_sums, free_sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
-        assert np.array_equal(rec_sums, np.stack([p[1].sum(axis=0) for p in parts]))
-        assert np.array_equal(free_sums, sums)
+        assert _same_bits(rec_sums, np.stack([p[1].sum(axis=0) for p in parts]))
+        assert _same_bits(free_sums, sums)
         # the one-step entry point runs the same kernel
         psi = hist[:, -1] * rng.uniform(0.5, 2.0)
         dw = rng.standard_normal(batch) * np.sqrt(grid.dt)
         a, kappa = model.A.entries, model.kappa
         out, exp_a = _step_batch(h.entries, a, kappa, psi, dw, grid.dt)
         ref_out, ref_exp = _reference_step(h.entries, a, kappa, psi, dw, grid.dt)
-        assert np.array_equal(out, ref_out) and np.array_equal(exp_a, ref_exp)
+        assert _same_bits(out, ref_out) and _same_bits(exp_a, ref_exp)
+
+
+def _with_zeros(rng, shape) -> np.ndarray:
+    """Complex entries of which about a third of the real and of the
+    imaginary parts are +0.0 or -0.0."""
+    parts = rng.standard_normal((2, *shape))
+    pick = rng.random(parts.shape)
+    parts[pick < 0.35] = -0.0
+    parts[pick < 0.17] = 0.0
+    z = np.empty(shape, complex)
+    z.real, z.imag = parts
+    return z
+
+
+def _zero_laden_hermitian(rng, dim) -> np.ndarray:
+    """A Hermitian matrix with signed-zero entries and, in about one case of
+    three per index, a zero row and column."""
+    m = _with_zeros(rng, (dim, dim))
+    lower = np.tril_indices(dim, -1)
+    m.real[lower] = m.real.T[lower]
+    m.imag[lower] = -m.imag.T[lower]
+    m.imag[np.diag_indices(dim)] = 0.0
+    for r in np.flatnonzero(rng.random(dim) < 0.3):
+        z = rng.choice([0.0, -0.0])
+        m.real[r], m.real[:, r], m.imag[r], m.imag[:, r] = z, z, z, -z
+    return m
+
+
+class TestKernelSignedZeros:
+    # complex d <= 3 sums run in the summed-index-outermost layout, d >= 4
+    # in the contiguous one; real norm sums switch above d = 7
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 3, 65, 1024]))
+    @settings(max_examples=8, deadline=None)
+    def test_kernel_bits_with_zeros(self, dim, seed, batch):
+        rng = np.random.default_rng(seed)
+        h, a = _zero_laden_hermitian(rng, dim), _zero_laden_hermitian(rng, dim)
+        psi = _with_zeros(rng, (batch, dim))
+        psi[rng.random(batch) < 0.2] = rng.choice([0.0, -0.0])  # zero states give NaN rows
+        dw = rng.standard_normal(batch) * np.sqrt(1e-3)
+        dw[rng.random(batch) < 0.3] = rng.choice([0.0, -0.0])
+        kappa = rng.uniform(0.1, 2.0)
+        out, exp_a, norms = np.empty((batch, dim), complex), np.empty(batch), np.empty(batch)
+        with np.errstate(all="ignore"):
+            _step_kernel(h, a, kappa, 1e-3, batch)(psi, dw, out, exp_a, norms)
+            raw, ref_norms, ref_exp = _reference_raw(h, a, kappa, psi, dw, 1e-3)
+            ref_out = raw / ref_norms[:, None]
+        assert _same_bits(out, ref_out)
+        assert _same_bits(exp_a, ref_exp)
+        assert _same_bits(norms, ref_norms)
 
 
 class TestGuards:
