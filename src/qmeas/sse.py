@@ -32,12 +32,11 @@ in one time loop, and the per-chunk sums are still reduced in chunk order.
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
 checks for non-finite or zero states once per block of Wiener increments.
-The kernel's matrix-vector products, <A> and norms are sums over the state
-index. numpy adds fewer than eight scalars (a complex counts as two) left to
-right from +0.0 whether that index is the last axis or the outermost one, so
-below that size the kernel keeps the summed index outermost in memory and the
-reduce runs as passes over contiguous rows, with the same bits; longer sums
-keep the C layout, the only one that gives numpy's pairwise order.
+A sum over the state index of fewer than eight scalars (a complex counts as
+two) is kept with that index outermost in memory: numpy adds it left to right
+from +0.0 in either layout, so the bits are those of a contiguous last axis
+while the reduce runs over long rows. Longer sums keep the C layout, the only
+one that gives numpy's pairwise order (see _step_kernel).
 """
 
 from __future__ import annotations
@@ -142,16 +141,24 @@ def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: i
     c, noise, sq = np.empty(batch, complex), np.empty(batch), _summands((batch, d), float)
     c_real, exp_col = c.real, c.real[:, None]
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
+    # The operands of the ufuncs that write _summands scratch, indexed by the
+    # summed index first: numpy loops over the views' last axis unless all
+    # operands agree on another order, so the loop runs along the batch (or
+    # [A; H] rows) and not along the d-long index. Elementwise, so same bits.
+    ah_k, a3_k = np.moveaxis(ah, -1, 0), np.moveaxis(a3, -1, 0)
+    prod_k, prod_a_k = np.moveaxis(prod, -1, 0), np.moveaxis(prod_a, -1, 0)
+    terms_k, apsi_k, bpsi_k, t1_k, sq_k = terms.T, apsi.T, bpsi.T[:, :, None], t1.T, sq.T
 
     def step(psi, dw, out, exp_a, norm):
-        mul(ah, psi[:, None, :], out=prod)
+        psi_k = psi.T
+        mul(ah_k, psi_k[:, :, None], out=prod_k)
         add_reduce(prod, axis=2, out=ahpsi)
-        np.conjugate(psi, out=terms)
-        mul(terms, apsi, out=terms)
+        np.conjugate(psi_k, out=terms_k)
+        mul(terms_k, apsi_k, out=terms_k)
         add_reduce(terms, axis=1, out=c)
         mul(exp_col, psi, out=t1)
         sub(apsi, t1, out=bpsi)
-        mul(a3, bpsi[:, None, :], out=prod_a)
+        mul(a3_k, bpsi_k, out=prod_a_k)
         add_reduce(prod_a, axis=2, out=t2)
         mul(exp_col, bpsi, out=t1)
         sub(t2, t1, out=t2)
@@ -163,7 +170,7 @@ def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: i
         mul(sqrt_kappa, dw, out=noise)
         mul(noise[:, None], bpsi, out=t2)
         add(t1, t2, out=t1)
-        np.abs(t1, out=sq)
+        np.abs(t1_k, out=sq_k)
         np.square(sq, out=sq)
         add_reduce(sq, axis=1, out=norm)
         np.sqrt(norm, out=norm)
