@@ -27,7 +27,6 @@ list both read those declarations.
 
 from __future__ import annotations
 
-import cmath
 import math
 import textwrap
 from dataclasses import MISSING, dataclass, field, fields
@@ -210,7 +209,7 @@ def _parse_complex(token: str, line: int, key: str) -> complex:
         value = complex(t)
     except ValueError:
         raise ConfigError(f"bad complex entry {token!r} (use forms like 1+0i)", line) from None
-    if not cmath.isfinite(value):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ConfigError(f"{key} must be finite, got {token!r}", line)
     return value
 
