@@ -25,6 +25,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import HermitianOperator, NonHermitianOperator, QuantumState
 from .readout import completeness_defect
+from .sse import CHUNK, _by_chunk, fold_chunks, map_shares
 
 _COMPLETENESS_ORDER = 60
 
@@ -145,7 +146,7 @@ def run_decoherence_chain(
         final_state=QuantumState(finals[0]),
         readouts=readouts[0],
         collapsed_to=None if c < 0 else c,
-        populations=pops,
+        populations=pops[0],
     )
 
 
@@ -153,13 +154,19 @@ def _run_chain_batch(
     k: FuzzyKraus,
     psi0: QuantumState,
     n_steps: int,
-    seeds: list[int],
+    seeds: list[int] | range,
     collapse_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized chains, one Philox stream per seed (n uniforms then n
     normals). Returns final amplitudes (batch, dim) in the original basis,
     readouts (batch, n), collapsed index per chain (-1 for none), and
-    eigenspace population sums over the batch per shot (n + 1, dim)."""
+    eigenspace population sums per shot over each chunk of CHUNK seeds
+    (chunks, n + 1, dim), added in seed order.
+
+    The scratch of a shot is made once and every operation writes into it,
+    in the order of the same formula on fresh arrays: a chain's readouts,
+    collapse index and populations do not depend on its batch.
+    """
     if k.dim != psi0.dim:
         raise DimensionMismatchError(f"observable dim {k.dim} != state dim {psi0.dim}")
     if n_steps < 1:
@@ -167,35 +174,83 @@ def _run_chain_batch(
     if not 0 < collapse_threshold < 1:
         raise ValidationError("collapse_threshold must be in (0, 1)")
     evals, q = _eigensystem(k)
-    b = len(seeds)
-    us = np.empty((b, n_steps))
-    zs = np.empty((b, n_steps))
+    b, d = len(seeds), k.dim
+    # shot-major, so each shot reads and writes contiguous rows
+    us = np.empty((n_steps, b))
+    zs = np.empty((n_steps, b))
     for i, s in enumerate(seeds):
         if s < 0:
             raise ValidationError("seeds must be non-negative")
         gen = np.random.Generator(np.random.Philox(key=int(s)))
-        us[i] = gen.random(n_steps)
-        zs[i] = gen.standard_normal(n_steps)
+        us[:, i] = gen.random(n_steps)
+        zs[:, i] = gen.standard_normal(n_steps)
+    zs *= 1.0 / (2.0 * np.sqrt(k.strength))
     amps = np.tile(q.conj().T @ psi0.amplitudes, (b, 1))
-    readouts = np.empty((b, n_steps))
+    readouts = np.empty((n_steps, b))
     collapsed = np.full(b, -1, dtype=int)
-    sigma = 1.0 / (2.0 * np.sqrt(k.strength))
-    pop_sums = np.zeros((n_steps + 1, k.dim))
-    pops = np.abs(amps) ** 2
-    pop_sums[0] = pops.sum(axis=0)
+    pop_sums = np.empty((-(-b // CHUNK), n_steps + 1, d))
+    pops, cum, w = np.empty((b, d)), np.empty((b, d)), np.empty((b, d))
+    above, idx = np.empty((b, d), dtype=bool), np.empty(b, dtype=np.intp)
+    norm, peak = np.empty(b), np.empty(b)
+    hit, free = np.empty(b, dtype=bool), np.empty(b, dtype=bool)
+    level = 1.0 - collapse_threshold
+
+    def populations(step):
+        np.abs(amps, out=pops)
+        np.square(pops, out=pops)
+        _by_chunk(pops, lambda g: g.sum(axis=1), pop_sums[:, step])
+
+    populations(0)
     for step in range(n_steps):
-        cum = np.cumsum(pops, axis=1)
-        idx = np.minimum((us[:, step, None] > cum).sum(axis=1), len(evals) - 1)
-        a = evals[idx] + zs[:, step] * sigma
-        readouts[:, step] = a
-        amps = amps * np.exp(-k.strength * (evals[None, :] - a[:, None]) ** 2)
-        amps = amps / np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
-        pops = np.abs(amps) ** 2
-        pop_sums[step + 1] = pops.sum(axis=0)
-        top = pops.max(axis=1)
-        hit = (top > 1.0 - collapse_threshold) & (collapsed < 0)
-        collapsed[hit] = pops.argmax(axis=1)[hit]
-    return amps @ q.T, readouts, collapsed, pop_sums
+        # eigenspace index from the Born weights, then the outcome a
+        np.cumsum(pops, axis=1, out=cum)
+        np.greater(us[step, :, None], cum, out=above)
+        np.add.reduce(above, axis=1, dtype=np.intp, out=idx)
+        np.minimum(idx, d - 1, out=idx)
+        a = readouts[step]
+        np.take(evals, idx, out=a)
+        np.add(a, zs[step], out=a)
+        # amps * exp(-s (evals - a)^2), renormalized
+        np.subtract(evals, a[:, None], out=w)
+        np.square(w, out=w)
+        np.multiply(-k.strength, w, out=w)
+        np.exp(w, out=w)
+        np.multiply(amps, w, out=amps)
+        np.abs(amps, out=w)
+        np.square(w, out=w)
+        np.add.reduce(w, axis=1, out=norm)
+        np.sqrt(norm, out=norm)
+        np.divide(amps, norm[:, None], out=amps)
+        populations(step + 1)
+        np.max(pops, axis=1, out=peak)
+        np.greater(peak, level, out=hit)
+        np.less(collapsed, 0, out=free)
+        np.logical_and(hit, free, out=hit)
+        if hit.any():
+            collapsed[hit] = pops[hit].argmax(axis=1)
+    return amps @ q.T, readouts.T, collapsed, pop_sums
+
+
+# chains stepped at once in one process, which bounds its scratch; a multiple
+# of CHUNK, so the chunk sums do not depend on it
+_BLOCK = 2048
+
+
+def _chain_share(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pool task: collapsed indices, final eigenspace populations and
+    per-chunk population sums of one share of seeds, _BLOCK chains at a time."""
+    k, psi0, n_steps, collapse_threshold, seeds = args
+    _, q = _eigensystem(k)
+    collapsed = np.empty(len(seeds), dtype=int)
+    pops_final = np.empty((len(seeds), k.dim))
+    sums = []
+    for lo in range(0, len(seeds), _BLOCK):
+        block = seeds[lo : lo + _BLOCK]
+        finals, _, c, chunk_sums = _run_chain_batch(k, psi0, n_steps, block, collapse_threshold)
+        collapsed[lo : lo + len(block)] = c
+        pops_final[lo : lo + len(block)] = np.abs(finals @ q.conj()) ** 2
+        sums.append(chunk_sums)
+    return collapsed, pops_final, np.concatenate(sums)
 
 
 def run_chain_ensemble(
@@ -205,6 +260,7 @@ def run_chain_ensemble(
     n_chains: int,
     seed_base: int,
     collapse_threshold: float = 1e-4,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run n_chains independent chains with seeds seed_base + i.
 
@@ -212,22 +268,25 @@ def run_chain_ensemble(
     (n_chains, dim), mean eigenspace populations per shot (n_steps + 1, dim));
     the last is the Born-martingale diagnostic. Chain i is bit-identical to
     run_decoherence_chain with seed seed_base + i.
+
+    Each of ``workers`` processes steps a contiguous, balanced share of fixed
+    chunks of CHUNK chains, as sse.ensemble_accumulate does. The mean
+    populations are summed per chunk in seed order and the chunk sums are
+    added in chunk order, so they are the same bits for any worker count.
+    Collapse indices do not depend on it either. The final populations go
+    through a matrix product, whose last bits numpy computes another way for
+    a share of one chain.
     """
-    _, q = _eigensystem(k)
-    seeds = [seed_base + i for i in range(n_chains)]
-    block = 2048
-    collapsed_all = np.empty(n_chains, dtype=int)
-    pops_final = np.empty((n_chains, k.dim))
-    pop_sums = np.zeros((n_steps + 1, k.dim))
-    for lo in range(0, n_chains, block):
-        chunk = seeds[lo : lo + block]
-        finals, _, collapsed, sums = _run_chain_batch(
-            k, psi0, n_steps, chunk, collapse_threshold
-        )
-        collapsed_all[lo : lo + len(chunk)] = collapsed
-        pops_final[lo : lo + len(chunk)] = np.abs(finals @ q.conj()) ** 2
-        pop_sums += sums
-    return collapsed_all, pops_final, pop_sums / n_chains
+    if n_chains < 1:
+        raise ValidationError("n_chains must be >= 1")
+    if seed_base < 0:
+        raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
+    _eigensystem(k)  # a degenerate spectrum is rejected before any fork
+    seeds = range(seed_base, seed_base + n_chains)
+    parts = map_shares(_chain_share, (k, psi0, n_steps, collapse_threshold), seeds, workers)
+    collapsed = np.concatenate([c for c, _, _ in parts])
+    pops_final = np.concatenate([p for _, p, _ in parts])
+    return collapsed, pops_final, fold_chunks([s for _, _, s in parts]) / n_chains
 
 
 def weak_ancilla_shot(

@@ -156,7 +156,7 @@ def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     cols = [np.arange(1, n + 1), first.readouts[:n], first.populations[1 : n + 1]]
     _write_csv(out / "chain.csv", header, cols)
     collapsed, _, _ = run_chain_ensemble(
-        k, cfg.psi0, cfg.n_shots, cfg.n_chains, cfg.seed, cfg.collapse_threshold
+        k, cfg.psi0, cfg.n_shots, cfg.n_chains, cfg.seed, cfg.collapse_threshold, workers
     )
     counts = {f"collapse_to_{i}": int(np.sum(collapsed == i)) for i in range(cfg.a.dim)}
     counts["no_collapse"] = int(np.sum(collapsed < 0))
@@ -262,7 +262,11 @@ def dispatch(cfg: RunConfig, out_dir: str | None, workers: int, quiet: bool = Fa
     """Run the configured scenario; returns the process exit status, 2 when a
     headline reports failed checks."""
     out = Path(out_dir if out_dir else (cfg.out or f"runs/{cfg.scenario}"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 1
     try:
         headline = _RUNNERS[cfg.scenario](cfg, out, workers, quiet)
     except (ConfigError, ValidationError) as exc:

@@ -306,6 +306,32 @@ def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
     return sums, rec_sums
 
 
+def map_shares(task, args: tuple, seeds: range, workers: int) -> list:
+    """Results of ``task((*args, share))`` in seed order, over contiguous,
+    balanced shares of seeds made of whole CHUNK-seed chunks: one share per
+    worker, at most one per chunk, run on a process pool when there are two
+    or more. ``task`` is a module-level function, so the pool can pickle it."""
+    n_chunks = -(-len(seeds) // CHUNK)
+    shares = max(1, min(workers, n_chunks))
+    cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [len(seeds)]
+    tasks = [(*args, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
+            return list(ex.map(task, tasks))
+    return [task(tasks[0])]
+
+
+def fold_chunks(shares) -> np.ndarray:
+    """The sum of per-chunk arrays, added in chunk order; ``shares`` holds one
+    (chunks, ...) array per share, in seed order. The order is fixed by the
+    chunks alone, so the sum does not depend on the worker count."""
+    chunks = [c for share in shares for c in share]
+    total = chunks[0].copy()
+    for c in chunks[1:]:
+        total += c
+    return total
+
+
 def ensemble_accumulate(
     model: MonitoringModel,
     psi0: QuantumState,
@@ -328,24 +354,9 @@ def ensemble_accumulate(
     if seed_base < 0:
         raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
     _guard(model, grid.dt)
-    n_chunks = -(-n_traj // CHUNK)
-    shares = max(1, min(workers, n_chunks))
-    cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [n_traj]
     seeds = range(seed_base, seed_base + n_traj)
-    tasks = [(model, psi0, grid, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-            parts = list(ex.map(_chunk_task, tasks))
-    else:
-        parts = [_chunk_task(tasks[0])]
-    sums = [s for share, _ in parts for s in share]
-    recs = [r for _, share in parts for r in share]
-    rho_sum = sums[0].copy()
-    rec_sum = recs[0].copy()
-    for rs, cs in zip(sums[1:], recs[1:]):
-        rho_sum += rs
-        rec_sum += cs
-    return rho_sum, rec_sum
+    parts = map_shares(_chunk_task, (model, psi0, grid), seeds, workers)
+    return fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts])
 
 
 def ensemble_average(

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qmeas.chain import (
     AncillaScheme,
     FuzzyKraus,
+    _eigensystem,
+    _run_chain_batch,
     ancilla_branch_operators,
     fit_effective_quadratic,
     run_chain_ensemble,
@@ -12,6 +16,7 @@ from qmeas.chain import (
     sample_fuzzy_shot,
     weak_ancilla_shot,
 )
+from qmeas.cli import main
 from qmeas.chm import MonitoringModel, marginalize_readouts
 from qmeas.errors import ValidationError
 from qmeas.hilbert import (
@@ -24,6 +29,12 @@ from qmeas.hilbert import (
     trace_distance,
 )
 from qmeas.readout import TimeGrid
+
+
+def _same_bits(x, y) -> bool:
+    """Same dtype, shape and bytes; unlike np.array_equal, -0.0 is not +0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestFuzzyShot:
@@ -247,3 +258,143 @@ class TestQuadraticFit:
         assert kappa_eff == pytest.approx(oracle, rel=0.05)
         gap_sq_t = kappa_eff * 4.0 * n
         assert resid <= 1e-3 * gap_sq_t
+
+
+def _reference_chain_batch(k, psi0, n_steps, seeds, collapse_threshold):
+    """The chain batch on fresh arrays, frozen as it was before its scratch
+    was preallocated: population sums over the whole batch, added in seed
+    order."""
+    evals, q = _eigensystem(k)
+    b = len(seeds)
+    us = np.empty((b, n_steps))
+    zs = np.empty((b, n_steps))
+    for i, s in enumerate(seeds):
+        gen = np.random.Generator(np.random.Philox(key=int(s)))
+        us[i] = gen.random(n_steps)
+        zs[i] = gen.standard_normal(n_steps)
+    amps = np.tile(q.conj().T @ psi0.amplitudes, (b, 1))
+    readouts = np.empty((b, n_steps))
+    collapsed = np.full(b, -1, dtype=int)
+    sigma = 1.0 / (2.0 * np.sqrt(k.strength))
+    pop_sums = np.zeros((n_steps + 1, k.dim))
+    pops = np.abs(amps) ** 2
+    pop_sums[0] = pops.sum(axis=0)
+    for step in range(n_steps):
+        cum = np.cumsum(pops, axis=1)
+        idx = np.minimum((us[:, step, None] > cum).sum(axis=1), len(evals) - 1)
+        a = evals[idx] + zs[:, step] * sigma
+        readouts[:, step] = a
+        amps = amps * np.exp(-k.strength * (evals[None, :] - a[:, None]) ** 2)
+        amps = amps / np.sqrt((np.abs(amps) ** 2).sum(axis=1))[:, None]
+        pops = np.abs(amps) ** 2
+        pop_sums[step + 1] = pops.sum(axis=0)
+        top = pops.max(axis=1)
+        hit = (top > 1.0 - collapse_threshold) & (collapsed < 0)
+        collapsed[hit] = pops.argmax(axis=1)[hit]
+    return amps @ q.T, readouts, collapsed, pop_sums
+
+
+def _reference_ensemble(k, psi0, n_steps, n_chains, seed_base, collapse_threshold=1e-4):
+    """The serial ensemble, frozen: blocks of 2048 chains, one sequential sum
+    of the populations over each block."""
+    _, q = _eigensystem(k)
+    seeds = [seed_base + i for i in range(n_chains)]
+    collapsed_all = np.empty(n_chains, dtype=int)
+    pops_final = np.empty((n_chains, k.dim))
+    pop_sums = np.zeros((n_steps + 1, k.dim))
+    for lo in range(0, n_chains, 2048):
+        chunk = seeds[lo : lo + 2048]
+        finals, _, collapsed, sums = _reference_chain_batch(k, psi0, n_steps, chunk, collapse_threshold)
+        collapsed_all[lo : lo + len(chunk)] = collapsed
+        pops_final[lo : lo + len(chunk)] = np.abs(finals @ q.conj()) ** 2
+        pop_sums += sums
+    return collapsed_all, pops_final, pop_sums / n_chains
+
+
+def _random_case(dim, case_seed, strength):
+    """A nondegenerate observable of spectral norm about 1 (eigenvalue gaps
+    at least 0.05, random eigenbasis) and a random state."""
+    rng = np.random.default_rng(case_seed)
+    evals = np.cumsum(rng.uniform(0.05, 1.0, dim))
+    evals = 2.0 * (evals - evals[0]) / (evals[-1] - evals[0]) - 1.0
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    a = HermitianOperator((q * evals) @ q.conj().T)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return FuzzyKraus(a, strength), QuantumState(v / np.linalg.norm(v))
+
+
+class TestAgainstFrozenBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        case_seed=st.integers(0, 2**32 - 1),
+        strength=st.floats(0.05, 1.0),
+        batch=st.sampled_from([1, 65, 130]),
+        n_steps=st.integers(1, 40),
+        threshold=st.sampled_from([1e-4, 1e-2, 0.3]),
+        seed_base=st.integers(0, 2**40),
+    )
+    @example(dim=64, case_seed=7, strength=0.5, batch=130, n_steps=30, threshold=1e-2, seed_base=5)
+    def test_per_chain_bits(self, dim, case_seed, strength, batch, n_steps, threshold, seed_base):
+        k, psi0 = _random_case(dim, case_seed, strength)
+        seeds = range(seed_base, seed_base + batch)
+        finals, readouts, collapsed, chunk_sums = _run_chain_batch(k, psi0, n_steps, seeds, threshold)
+        ref_finals, ref_readouts, ref_collapsed, ref_sums = _reference_chain_batch(
+            k, psi0, n_steps, seeds, threshold
+        )
+        assert _same_bits(collapsed, ref_collapsed)
+        assert _same_bits(readouts, ref_readouts)
+        assert _same_bits(finals, ref_finals)
+        assert chunk_sums.shape == (-(-batch // 64), n_steps + 1, dim)
+        if batch == 1:
+            first = run_decoherence_chain(k, psi0, n_steps, seed_base, threshold)
+            assert _same_bits(first.populations, ref_sums)
+            assert _same_bits(first.final_state.amplitudes, ref_finals[0])
+        got = run_chain_ensemble(k, psi0, n_steps, batch, seed_base, threshold)
+        ref = _reference_ensemble(k, psi0, n_steps, batch, seed_base, threshold)
+        assert _same_bits(got[0], ref[0])
+        assert _same_bits(got[1], ref[1])
+        assert np.max(np.abs(got[2] - ref[2])) <= 1e-13
+
+
+class TestEnsembleWorkers:
+    def test_bits_do_not_depend_on_worker_count(self):
+        # 150 chains: two full chunks and a partial one, alone in a share at 3 workers
+        k, psi0 = _random_case(3, 11, 0.3)
+        runs = [run_chain_ensemble(k, psi0, 200, 150, 40, 1e-3, workers=w) for w in (1, 2, 3)]
+        for got in runs[1:]:
+            for x, y in zip(got, runs[0]):
+                assert _same_bits(x, y)
+        ref = _reference_ensemble(k, psi0, 200, 150, 40, 1e-3)
+        assert _same_bits(runs[0][0], ref[0]) and _same_bits(runs[0][1], ref[1])
+        assert np.max(np.abs(runs[0][2] - ref[2])) <= 1e-13
+
+    @pytest.mark.parametrize("n_chains,seed_base,message", [
+        (0, 1, "n_chains must be >= 1"),
+        (150, -1, "seed_base -1 is negative; use a seed >= 0"),
+    ])
+    def test_bad_input_rejected_before_the_pool_starts(self, monkeypatch, n_chains, seed_base, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("qmeas.sse.ProcessPoolExecutor", no_pool)
+        k, psi0 = FuzzyKraus(pauli_z(), 0.1), basis_state(2, 0)
+        with pytest.raises(ValidationError, match=message):
+            run_chain_ensemble(k, psi0, 10, n_chains, seed_base, workers=2)
+
+    def test_cli_files_do_not_depend_on_worker_count(self, tmp_path):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(
+            "[run]\nscenario = chain\nseed = 77\n[model]\na = 0 0 0 ; 0 1 0 ; 0 0 3\n"
+            "psi0 = 0.6 0.48 0.64\n[chain]\nstrength = 0.3\nn_shots = 120\nn_chains = 150\n",
+            encoding="utf-8",
+        )
+        outs = [tmp_path / f"w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["--config", str(cfg), "--out", str(out), "--workers", str(w), "--quiet"]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["chain.csv", "summary.json"]
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

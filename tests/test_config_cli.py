@@ -436,6 +436,17 @@ class TestDispatch:
     def test_missing_config_file(self):
         assert main(["--config", "/nonexistent/x.cfg", "--quiet"]) == 1
 
+    @pytest.mark.parametrize("sub", ["", "deeper"])
+    def test_out_through_an_existing_file_exit_code(self, tmp_path, capsys, sub):
+        cfg, blocker = tmp_path / "lin.cfg", tmp_path / "taken"
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 5\n", encoding="utf-8")
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = blocker / sub if sub else blocker
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot create output directory {out}: ")
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # oversized dt at large kappa trips the positivity monitor
         text = (
