@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .errors import (
     DimensionMismatchError,
@@ -37,6 +36,7 @@ from .hilbert import (
     HermitianOperator,
     NonHermitianOperator,
     QuantumState,
+    matrix_exponential,
 )
 from .lindblad import MonitoringModel
 from .readout import (
@@ -202,7 +202,7 @@ def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialP
     """
     d = model.dim
     dt = record.grid.dt
-    u = _expm(-1j * model.H.entries * dt)
+    u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
     evals, q = model.A.eigh()
     prod = np.eye(d, dtype=complex)
     # measurement factor diagonalizes in the A eigenbasis; cache per distinct value
@@ -231,7 +231,8 @@ def single_step_log_density(
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
     evals, q = model.A.eigh()
     r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
-    v = _expm(-1j * model.H.entries * dt) @ (r @ psi0.amplitudes)
+    u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
+    v = u @ (r @ psi0.amplitudes)
     n = float(np.linalg.norm(v))
     return 2.0 * np.log(n) + reference_log_weight(constant_record(grid, a), model.kappa)
 
@@ -310,7 +311,7 @@ def marginalize_readouts(
             f"quadrature kernel is not complete to 1e-6 (defect {defect:.3g}); raise quad_order"
         )
     _, q, kernel = _hermgauss_kernel(model.A, model.kappa, grid.dt, quad_order)
-    u_half = _expm(-0.5j * model.H.entries * grid.dt)
+    u_half = matrix_exponential(NonHermitianOperator(-0.5j * model.H.entries), grid.dt).entries
     qh = q.conj().T
     rho = rho0.entries.copy()
     out = [rho0]

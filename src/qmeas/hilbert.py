@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import DimensionMismatchError, ValidationError
 
@@ -175,13 +174,17 @@ def matrix_exponential(op: NonHermitianOperator, t: float = 1.0) -> NonHermitian
     """exp(M * t) by Pade approximation with scaling and squaring.
 
     Backed by scipy's expm; relative accuracy is ~1e-13 for moderate
-    ||M * t|| and comfortably within 1e-10 for ||M * t|| <= 10.
+    ||M * t|| and comfortably within 1e-10 for ||M * t|| <= 10. scipy, used
+    nowhere else in the package, is imported on the first call, so runs that
+    never exponentiate skip its load time.
     """
+    from scipy.linalg import expm
+
     if not np.all(np.isfinite(op.entries)):
         raise ValidationError("matrix exponential requires finite entries")
     if not np.isfinite(t):
         raise ValidationError("time argument must be finite")
-    return NonHermitianOperator(_scipy_expm(op.entries * t))
+    return NonHermitianOperator(expm(op.entries * t))
 
 
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:

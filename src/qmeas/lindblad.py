@@ -70,7 +70,8 @@ def lindblad_rhs(model: MonitoringModel, rho: DensityMatrix) -> np.ndarray:
 
 
 def _rhs_raw(h: np.ndarray, a: np.ndarray, kappa: float, r: np.ndarray) -> np.ndarray:
-    dc = a @ (a @ r) - 2.0 * (a @ r @ a) + (r @ a) @ a
+    ar = a @ r
+    dc = a @ ar - 2.0 * (ar @ a) + (r @ a) @ a
     return -1j * (h @ r - r @ h) - 0.5 * kappa * dc
 
 

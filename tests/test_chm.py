@@ -264,6 +264,93 @@ class TestMergedRecordLoop:
             propagate(model, plus_state(2), rec)
 
 
+def _reference_sliced(model, record):
+    """sliced_propagator as it was with scipy's expm called directly; frozen
+    here so the route through matrix_exponential is held to its bits."""
+    from scipy.linalg import expm
+
+    dt = record.grid.dt
+    u = expm(-1j * model.H.entries * dt)
+    evals, q = model.A.eigh()
+    prod = np.eye(model.dim, dtype=complex)
+    cache = {}
+    for a in record.values:
+        a = float(a)
+        step = cache.get(a)
+        if step is None:
+            r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
+            step = u @ r
+            cache[a] = step
+        prod = step @ prod
+    return prod
+
+
+def _reference_single_step(model, a, dt, psi0):
+    from scipy.linalg import expm
+
+    grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
+    evals, q = model.A.eigh()
+    r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
+    v = expm(-1j * model.H.entries * dt) @ (r @ psi0.amplitudes)
+    n = float(np.linalg.norm(v))
+    return 2.0 * np.log(n) + reference_log_weight(constant_record(grid, a), model.kappa)
+
+
+def _reference_marginalized(model, rho0, grid, quad_order):
+    from scipy.linalg import expm
+
+    _, q, kernel = chm._hermgauss_kernel(model.A, model.kappa, grid.dt, quad_order)
+    u_half = expm(-0.5j * model.H.entries * grid.dt)
+    qh = q.conj().T
+    rho = rho0.entries.copy()
+    out = [rho]
+    for _ in range(grid.n_steps):
+        rho = u_half @ rho @ u_half.conj().T
+        rho = q @ (kernel * (qh @ rho @ q)) @ qh
+        rho = u_half @ rho @ u_half.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        out.append(DensityMatrix(rho).entries)
+    return out
+
+
+class TestExpmRouting:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        n_steps=st.integers(1, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bits_match_direct_scipy_expm(self, dim, seed, degenerate, n_steps):
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        if degenerate:
+            a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+            a_evals[1] = a_evals[0]
+        else:
+            a_evals = rng.uniform(-1.0, 1.0, dim)
+        model = MonitoringModel(h, _random_hermitian(rng, dim, a_evals), rng.uniform(0.1, 2.0))
+        dt = rng.uniform(1e-3, 0.05)
+        grid = TimeGrid(0.0, dt, n_steps)
+        # repeated values exercise the per-value cache of sliced_propagator
+        rec = ReadoutRecord(grid, rng.choice(rng.uniform(-2.0, 2.0, 4), n_steps))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        rho0 = DensityMatrix.from_state(psi0)
+
+        sliced = sliced_propagator(model, rec).matrix.entries
+        assert sliced.tobytes() == _reference_sliced(model, rec).tobytes()
+        a = float(rec.values[0])
+        assert single_step_log_density(model, a, dt, psi0) == _reference_single_step(
+            model, a, dt, psi0
+        )
+        out = marginalize_readouts(model, rho0, grid, 40)
+        ref = _reference_marginalized(model, rho0, grid, 40)
+        assert len(out) == len(ref) == n_steps + 1
+        for x, y in zip(out, ref):
+            assert x.entries.tobytes() == y.tobytes()
+
+
 class TestSlicedPropagator:
     def test_commuting_case_exact(self):
         model = MonitoringModel(HermitianOperator(np.diag([1.0, -1.0])), pauli_z(), 0.7)

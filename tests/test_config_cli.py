@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +530,64 @@ class TestReproducibility:
         assert files == sorted(p.name for p in out2.iterdir())
         for f in files:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+# One fresh interpreter: the pytest process has loaded scipy already. Prints,
+# per stage, [stage, exit code, whether scipy is loaded after it].
+_STARTUP_PROBE = """\
+import json, sys
+import qmeas
+stages = [["import qmeas", 0, "scipy" in sys.modules]]
+from qmeas import cli
+stages.append(["import qmeas.cli", 0, "scipy" in sys.modules])
+for name, cfg in json.loads(sys.argv[1]):
+    rc = cli.main(["--config", cfg, "--out", cfg + ".out", "--quiet", "--workers", "1"])
+    stages.append([name, rc, "scipy" in sys.modules])
+print(json.dumps(stages))
+"""
+
+# every scenario but zeno and verify, then zeno, whose exp(L t) is the first expm
+_STARTUP_CONFIGS = {
+    "lindblad": "[run]\nscenario = lindblad\n[grid]\ndt = 0.01\nn_steps = 20\n",
+    "chm": "[run]\nscenario = chm\n",
+    "sse-ensemble": SMALL_SSE.replace("n_steps = 300", "n_steps = 50").replace(
+        "n_traj = 80", "n_traj = 8"
+    ),
+    "chain": "[run]\nscenario = chain\n[chain]\nn_shots = 20\nn_chains = 10\n",
+    "rabi-monitor": (
+        "[run]\nscenario = rabi-monitor\nseed = 1\n[model]\nkappa = 0.05\n"
+        "[grid]\ndt = 0.001\nn_steps = 20000\n"
+    ),
+    "transition": (
+        "[run]\nscenario = transition\nseed = 10\n[model]\nkappa = 4.0\n"
+        "[grid]\ndt = 0.001\nn_steps = 2000\n"
+    ),
+    "zeno": SMALL_ZENO.replace("kappa_list = 0.5 2.0", "kappa_list = 2.0"),
+}
+
+
+class TestStartup:
+    def test_scipy_loads_only_at_the_first_matrix_exponential(self, tmp_path):
+        cases = []
+        for name, text in _STARTUP_CONFIGS.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            cases.append([name, str(cfg)])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(cases)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout.splitlines()[-1])
+        no_expm = ["import qmeas", "import qmeas.cli", *list(_STARTUP_CONFIGS)[:-1]]
+        assert stages == [[name, 0, False] for name in no_expm] + [["zeno", 0, True]]
 
 
 class TestWorkersResolution:
