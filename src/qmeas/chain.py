@@ -6,7 +6,8 @@ outcome a drawn from the exact Born density; a long chain of such shots
 gradually decoheres a superposition into a single eigenspace (each eigenspace
 population is a martingale whose terminal distribution realizes the Born
 rule). A chain of n shots of strength s is statistically equivalent to
-continuous monitoring with kappa * T = n * s.
+continuous monitoring with kappa * T = n * s; a shot is the record slice
+:class:`qmeas.readout.FuzzySlice` with kappa = s and dt = 1.
 
 The weak-ancilla realization couples the system to a fresh two-level probe
 per shot via exp(-i g (A x sigma_y)) and reads the probe out; the branch
@@ -18,13 +19,13 @@ quantifies how universal that quadratic form is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import HermitianOperator, NonHermitianOperator, QuantumState
-from .readout import completeness_defect
+from .readout import FuzzySlice
 from .sse import CHUNK, _by_chunk, fold_chunks, map_shares
 
 _COMPLETENESS_ORDER = 60
@@ -37,18 +38,19 @@ class FuzzyKraus:
 
     A: HermitianOperator
     strength: float
+    kernel: FuzzySlice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.strength) and self.strength > 0):
             raise ValidationError("strength must be positive and finite")
-        # quadrature check of POVM completeness, same Gaussian identity that
-        # normalizes continuous readout densities
-        evals = np.linalg.eigvalsh(self.A.entries)
-        defect = completeness_defect(evals, np.sqrt(2.0 * self.strength), _COMPLETENESS_ORDER)
+        object.__setattr__(self, "kernel", FuzzySlice(self.A, self.strength, 1.0))
+        # POVM completeness, by the quadrature that checks a record slice
+        defect = self.kernel.completeness_defect(_COMPLETENESS_ORDER)
         if defect > 1e-8:
             raise ValidationError(
-                f"fuzzy POVM completeness defect {defect:.3g} exceeds 1e-8 "
-                "(strength too large for the spectral spread)"
+                f"fuzzy POVM completeness defect {defect:.3g} exceeds 1e-8: [chain] strength "
+                f"{self.strength:g} is too large for the spread of A's eigenvalues; reduce the "
+                "strength or the spread"
             )
 
     @property
@@ -88,11 +90,13 @@ class AncillaScheme:
 
 
 def _eigensystem(k: FuzzyKraus) -> tuple[np.ndarray, np.ndarray]:
-    evals, q = k.A.eigh()
-    gaps = np.diff(evals)
-    if np.any(gaps < 1e-9):
-        raise ValidationError("fuzzy chains require a nondegenerate spectrum")
-    return evals, q
+    if np.any(np.diff(k.kernel.evals) < 1e-9):
+        raise ValidationError(
+            "fuzzy chains require a nondegenerate spectrum: give A distinct eigenvalues, "
+            "gaps of at least 1e-9 (the lindblad, chm and sse-ensemble scenarios accept a "
+            "degenerate A)"
+        )
+    return k.kernel.evals, k.kernel.q
 
 
 def sample_fuzzy_shot(
@@ -111,16 +115,11 @@ def sample_fuzzy_shot(
     evals, q = _eigensystem(k)
     amps = q.conj().T @ psi.amplitudes
     pops = np.abs(amps) ** 2
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(pops), u))
-    idx = min(idx, len(evals) - 1)
+    idx = min(int(np.searchsorted(np.cumsum(pops), rng.random())), len(evals) - 1)
     a = float(evals[idx] + rng.standard_normal() / (2.0 * np.sqrt(k.strength)))
-    weights = np.exp(-k.strength * (evals - a) ** 2)
-    new_amps = amps * weights
-    density = float(
-        np.sqrt(2.0 * k.strength / np.pi) * np.sum(pops * weights**2)
-    )
-    v = q @ new_amps
+    weights = k.kernel.factor(a)
+    density = float(np.sqrt(2.0 * k.strength / np.pi) * np.sum(pops * weights**2))
+    v = q @ (amps * weights)
     return QuantumState(v / np.linalg.norm(v)), a, density
 
 
@@ -211,11 +210,7 @@ def _run_chain_batch(
         np.take(evals, idx, out=a)
         np.add(a, zs[step], out=a)
         # amps * exp(-s (evals - a)^2), renormalized
-        np.subtract(evals, a[:, None], out=w)
-        np.square(w, out=w)
-        np.multiply(-k.strength, w, out=w)
-        np.exp(w, out=w)
-        np.multiply(amps, w, out=amps)
+        np.multiply(amps, k.kernel.factor(a, out=w), out=amps)
         np.abs(amps, out=w)
         np.square(w, out=w)
         np.add.reduce(w, axis=1, out=norm)

@@ -13,9 +13,10 @@ unitary factor exp(-i*H*dt) per slice, which is the discrete chain of fuzzy
 measurements interleaved with free evolution. One RK4 loop integrates the
 equation for every caller, taking ||A|| and ||H|| once per record to set the
 substep count of each slice. Integrating the sliced density matrix over all
-readouts recovers the nonselective master equation of :mod:`qmeas.lindblad`;
-completeness of the readout family (generalized unitarity) is checked by
-Gauss-Hermite quadrature.
+readouts recovers the nonselective master equation of :mod:`qmeas.lindblad`.
+The contraction factor, the completeness (generalized unitarity) check and
+the Gauss-Hermite readout integral live in :class:`qmeas.readout.FuzzySlice`,
+which the fuzzy chains of :mod:`qmeas.chain` share at dt = 1.
 """
 
 from __future__ import annotations
@@ -31,19 +32,13 @@ from .errors import (
     ResolutionMismatchError,
     ValidationError,
 )
-from .hilbert import (
-    DensityMatrix,
-    HermitianOperator,
-    NonHermitianOperator,
-    QuantumState,
-    matrix_exponential,
-)
+from .hilbert import DensityMatrix, NonHermitianOperator, QuantumState, matrix_exponential
 from .lindblad import MonitoringModel
 from .readout import (
+    FuzzySlice,
     ReadoutDensity,
     ReadoutRecord,
     TimeGrid,
-    completeness_defect,
     constant_record,
     reference_log_weight,
 )
@@ -200,21 +195,16 @@ def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialP
     product equals the exact ODE propagator; otherwise it converges to it at
     first order in dt.
     """
-    d = model.dim
     dt = record.grid.dt
     u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
-    evals, q = model.A.eigh()
-    prod = np.eye(d, dtype=complex)
+    kernel = FuzzySlice(model.A, model.kappa, dt)
+    prod = np.eye(model.dim, dtype=complex)
     # measurement factor diagonalizes in the A eigenbasis; cache per distinct value
     cache: dict[float, np.ndarray] = {}
-    for a in record.values:
-        a = float(a)
-        step = cache.get(a)
-        if step is None:
-            r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
-            step = u @ r
-            cache[a] = step
-        prod = step @ prod
+    for a in record.values.tolist():
+        if a not in cache:
+            cache[a] = u @ kernel.operator(a)
+        prod = cache[a] @ prod
     return PartialPropagator(NonHermitianOperator(prod), record)
 
 
@@ -229,31 +219,29 @@ def single_step_log_density(
     factor resolves the identity and the unitary factor preserves norms.
     """
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
-    evals, q = model.A.eigh()
-    r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
+    r = FuzzySlice(model.A, model.kappa, dt).operator(a)
     u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
-    v = u @ (r @ psi0.amplitudes)
-    n = float(np.linalg.norm(v))
+    n = float(np.linalg.norm(u @ (r @ psi0.amplitudes)))
     return 2.0 * np.log(n) + reference_log_weight(constant_record(grid, a), model.kappa)
 
 
-def _hermgauss_kernel(
-    a_op: HermitianOperator, kappa: float, dt: float, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature data for readout integrals of one slice.
-
-    Returns (eigenvalues, eigenvectors, K) where K_mn approximates
-    integral da sqrt(2*kappa*dt/pi) exp(-kappa*dt*[(a-a_m)^2 + (a-a_n)^2]),
-    i.e. the per-slice dephasing kernel in the A eigenbasis (exactly
-    exp(-(kappa/2)*(a_m-a_n)^2*dt) in the order -> infinity limit).
-    """
-    evals, q = a_op.eigh()
-    center = 0.5 * (evals[0] + evals[-1])
-    b = np.sqrt(2.0 * kappa * dt) * (evals - center)
-    x, w = np.polynomial.hermite.hermgauss(order)
-    g = np.exp(np.outer(x, b) - 0.5 * b**2)  # (order, dim)
-    k = np.einsum("i,im,in->mn", w / np.sqrt(np.pi), g, g)
-    return evals, q, k
+def _checked_slice(model: MonitoringModel, dt: float, quad_order: int) -> tuple[FuzzySlice, float]:
+    """The slice kernel of (A, kappa, dt) and its converged completeness defect."""
+    if quad_order < 10:
+        raise ValidationError("quad_order must be >= 10")
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    kernel = FuzzySlice(model.A, model.kappa, dt)
+    d_full = kernel.completeness_defect(quad_order)
+    if d_full > 1e-8:
+        d_half = kernel.completeness_defect(max(10, quad_order // 2))
+        if d_full >= d_half:
+            raise QuadratureError(
+                f"unitarity defect {d_full:.3g} not decreasing with quadrature order "
+                f"(order {quad_order} vs {max(10, quad_order // 2)}: {d_half:.3g}); "
+                "reduce dt or kappa, or raise quad_order"
+            )
+    return kernel, d_full
 
 
 def generalized_unitarity_defect(
@@ -266,23 +254,7 @@ def generalized_unitarity_defect(
     measurement-operator family. Raises if the quadrature has not converged,
     i.e. the defect exceeds 1e-8 yet fails to decrease from order/2 to order.
     """
-    if quad_order < 10:
-        raise ValidationError("quad_order must be >= 10")
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-
-    evals = np.linalg.eigvalsh(model.A.entries)
-    scale = np.sqrt(2.0 * model.kappa * dt)
-    d_full = completeness_defect(evals, scale, quad_order)
-    if d_full > 1e-8:
-        d_half = completeness_defect(evals, scale, max(10, quad_order // 2))
-        if d_full >= d_half:
-            raise QuadratureError(
-                f"unitarity defect {d_full:.3g} not decreasing with quadrature order "
-                f"(order {quad_order} vs {max(10, quad_order // 2)}: {d_half:.3g}); "
-                "reduce dt or kappa, or raise quad_order"
-            )
-    return d_full
+    return _checked_slice(model, dt, quad_order)[1]
 
 
 def marginalize_readouts(
@@ -303,14 +275,12 @@ def marginalize_readouts(
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
-    if quad_order < 10:
-        raise ValidationError("quad_order must be >= 10")
-    defect = generalized_unitarity_defect(model, grid.dt, quad_order)
+    slice_kernel, defect = _checked_slice(model, grid.dt, quad_order)
     if defect > 1e-6:
         raise QuadratureError(
             f"quadrature kernel is not complete to 1e-6 (defect {defect:.3g}); raise quad_order"
         )
-    _, q, kernel = _hermgauss_kernel(model.A, model.kappa, grid.dt, quad_order)
+    q, kernel = slice_kernel.q, slice_kernel.dephasing_kernel(quad_order)
     u_half = matrix_exponential(NonHermitianOperator(-0.5j * model.H.entries), grid.dt).entries
     qh = q.conj().T
     rho = rho0.entries.copy()

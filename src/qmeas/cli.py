@@ -150,7 +150,6 @@ def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> d
 def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
-    evals, _ = cfg.a.eigh()
     n = cfg.n_shots
     header = ["shot", "a"] + [f"pop_{i}" for i in range(cfg.a.dim)]
     cols = [np.arange(1, n + 1), first.readouts[:n], first.populations[1 : n + 1]]
@@ -164,7 +163,7 @@ def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
         "n_chains": cfg.n_chains,
         "first_chain_collapsed_to": first.collapsed_to,
         "counts": counts,
-        "eigenvalues": list(evals),
+        "eigenvalues": list(k.kernel.evals),
     }
 
 

@@ -6,7 +6,10 @@ applies on the whole slice [t0 + k*dt, t0 + (k+1)*dt). Probability densities
 of records are taken relative to the per-step Gaussian reference measure
 sqrt(2*kappa*dt/pi) * da, the unique normalization under which the
 single-step measurement operators exp(-kappa*(A-a)^2*dt) resolve the
-identity exactly.
+identity exactly. :class:`FuzzySlice` is the one home of that family and of
+its Gauss-Hermite quadrature: a record slice of :mod:`qmeas.chm` is the
+member with the record's kappa and dt, a fuzzy shot of strength s in
+:mod:`qmeas.chain` the member with kappa = s and dt = 1.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RecordParseError, ValidationError
+from .hilbert import HermitianOperator
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,47 @@ def reference_log_weight(record: ReadoutRecord, kappa: float) -> float:
     return 0.5 * record.grid.n_steps * float(np.log(2.0 * kappa * record.grid.dt / np.pi))
 
 
-def completeness_defect(evals: np.ndarray, scale: float, order: int) -> float:
-    """Gauss-Hermite check of that identity for R_a = exp(-(scale^2/2)*(A-a)^2):
-    the largest |sum_i w_i/sqrt(pi) * exp(2*x_i*b - b^2) - 1| over the sorted
-    eigenvalues ``evals`` of A, with b = scale * (eigenvalue - spectral center).
-    A readout slice has scale sqrt(2*kappa*dt), a fuzzy shot sqrt(2*strength).
-    """
-    center = 0.5 * (evals[0] + evals[-1])
-    b = scale * (evals - center)
-    x, w = np.polynomial.hermite.hermgauss(order)
-    s = np.einsum("i,im->m", w / np.sqrt(np.pi), np.exp(2.0 * np.outer(x, b) - b**2))
-    return float(np.max(np.abs(s - 1.0)))
+class FuzzySlice:
+    """R_a = exp(-kappa*(A-a)^2*dt) in the eigenbasis of A (ascending
+    ``evals``, eigenvector columns ``q``), one ``eigh`` per (A, kappa, dt)."""
+
+    def __init__(self, a_op: HermitianOperator, kappa: float, dt: float):
+        self.evals, self.q = a_op.eigh()
+        self.kappa, self.dt = kappa, dt
+
+    def factor(self, a: float | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-kappa*(a_m - a)^2*dt) per eigenvalue a_m, into ``out`` if given;
+        one row per readout of an array ``a``, each the bits of its own call."""
+        w = np.subtract(self.evals, np.asarray(a)[..., None], out=out)
+        np.square(w, out=w)
+        np.multiply(-self.kappa, w, out=w)
+        np.multiply(w, self.dt, out=w)
+        return np.exp(w, out=w)
+
+    def operator(self, a: float) -> np.ndarray:
+        """R_a in the original basis."""
+        return (self.q * self.factor(a)) @ self.q.conj().T
+
+    def _quadrature(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gauss-Hermite nodes, weights / sqrt(pi), sqrt(2*kappa*dt)*(a_m - center)."""
+        center = 0.5 * (self.evals[0] + self.evals[-1])
+        x, w = np.polynomial.hermite.hermgauss(order)
+        return x, w / np.sqrt(np.pi), np.sqrt(2.0 * self.kappa * self.dt) * (self.evals - center)
+
+    def completeness_defect(self, order: int) -> float:
+        """Largest |quadrature of integral da sqrt(2*kappa*dt/pi) <m|R_a^2|m> - 1|;
+        summed on its own, since diag(K) is the same sum in other bits."""
+        x, w, b = self._quadrature(order)
+        s = np.einsum("i,im->m", w, np.exp(2.0 * np.outer(x, b) - b**2))
+        return float(np.max(np.abs(s - 1.0)))
+
+    def dephasing_kernel(self, order: int) -> np.ndarray:
+        """K_mn, the quadrature of integral da sqrt(2*kappa*dt/pi) <m|R_a|m><n|R_a|n>,
+        which multiplies rho_mn (A eigenbasis) in the readout-averaged slice; it
+        tends to exp(-(kappa/2)*(a_m-a_n)^2*dt) as the order grows."""
+        x, w, b = self._quadrature(order)
+        g = np.exp(np.outer(x, b) - 0.5 * b**2)  # (order, dim)
+        return np.einsum("i,im,in->mn", w, g, g)
 
 
 def serialize_record(record: ReadoutRecord) -> str:

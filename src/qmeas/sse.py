@@ -41,7 +41,6 @@ one that gives numpy's pairwise order (see _step_kernel).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,6 +315,7 @@ def map_shares(task, args: tuple, seeds: range, workers: int) -> list:
     cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [len(seeds)]
     tasks = [(*args, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
     if len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
             return list(ex.map(task, tasks))
     return [task(tasks[0])]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -92,6 +94,40 @@ class TestFuzzyShot:
             0.36 * np.exp(-2 * s * (a - 1.0) ** 2) + 0.64 * np.exp(-2 * s * (a + 1.0) ** 2)
         )
         assert density == pytest.approx(expected, rel=1e-12)
+
+
+class TestGuards:
+    def test_completeness_guard_says_to_reduce_the_strength(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"defect 0.202 exceeds 1e-8: \[chain\] strength 2 .*reduce the strength or the spread$",
+        ):
+            FuzzyKraus(HermitianOperator(np.diag([0.0, 10.0])), 2.0)
+        FuzzyKraus(HermitianOperator(np.diag([0.0, 6.0])), 2.0)  # a narrower spread passes
+
+    def test_degeneracy_guard_says_to_split_the_eigenvalues(self):
+        k = FuzzyKraus(HermitianOperator(np.diag([1.0, 1.0, 2.0])), 0.1)
+        with pytest.raises(
+            ValidationError,
+            match=r"give A distinct eigenvalues, gaps of at least 1e-9 \(the lindblad, chm and "
+            r"sse-ensemble scenarios accept a degenerate A\)$",
+        ):
+            run_decoherence_chain(k, basis_state(3, 0), 5, seed=1)
+
+    @pytest.mark.parametrize("a, strength, message", [
+        ("0 0 ; 0 10", 2.0, r"defect 0.202 .*reduce the strength or the spread$"),
+        ("1 0 ; 0 1", 0.1, r"give A distinct eigenvalues, .*accept a degenerate A\)$"),
+    ])
+    def test_chain_scenario_exits_1_with_one_error_line(self, tmp_path, capsys, a, strength, message):
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(
+            f"[run]\nscenario = chain\n[model]\na = {a}\n[chain]\nstrength = {strength}\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fuzzy "), lines
+        assert re.search(message, lines[0])
 
 
 class TestDecoherenceChain:
@@ -378,7 +414,7 @@ class TestEnsembleWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("qmeas.sse.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         k, psi0 = FuzzyKraus(pauli_z(), 0.1), basis_state(2, 0)
         with pytest.raises(ValidationError, match=message):
             run_chain_ensemble(k, psi0, 10, n_chains, seed_base, workers=2)

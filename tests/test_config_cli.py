@@ -532,17 +532,20 @@ class TestReproducibility:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
 
-# One fresh interpreter: the pytest process has loaded scipy already. Prints,
-# per stage, [stage, exit code, whether scipy is loaded after it].
+# One fresh interpreter: the pytest process has loaded scipy and the process
+# pool already. Prints, per stage, [stage, exit code, whether scipy is loaded
+# after it, whether concurrent.futures.process is].
 _STARTUP_PROBE = """\
 import json, sys
+def loaded():
+    return ["scipy" in sys.modules, "concurrent.futures.process" in sys.modules]
 import qmeas
-stages = [["import qmeas", 0, "scipy" in sys.modules]]
+stages = [["import qmeas", 0, *loaded()]]
 from qmeas import cli
-stages.append(["import qmeas.cli", 0, "scipy" in sys.modules])
+stages.append(["import qmeas.cli", 0, *loaded()])
 for name, cfg in json.loads(sys.argv[1]):
     rc = cli.main(["--config", cfg, "--out", cfg + ".out", "--quiet", "--workers", "1"])
-    stages.append([name, rc, "scipy" in sys.modules])
+    stages.append([name, rc, *loaded()])
 print(json.dumps(stages))
 """
 
@@ -587,7 +590,8 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         stages = json.loads(proc.stdout.splitlines()[-1])
         no_expm = ["import qmeas", "import qmeas.cli", *list(_STARTUP_CONFIGS)[:-1]]
-        assert stages == [[name, 0, False] for name in no_expm] + [["zeno", 0, True]]
+        # no stage runs at more than one worker, so none starts a pool
+        assert stages == [[name, 0, False, False] for name in no_expm] + [["zeno", 0, True, False]]
 
 
 class TestWorkersResolution:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeas.chm import MonitoringModel, generalized_unitarity_defect
 from qmeas.errors import RecordParseError, ValidationError
 from qmeas.hilbert import HermitianOperator, pauli_z
 from qmeas.readout import (
+    FuzzySlice,
     ReadoutRecord,
     TimeGrid,
     constant_record,
@@ -121,3 +122,78 @@ class TestSerialization:
             parse_record("t,a\n0.25,1\n0.25,2\n")
         with pytest.raises(RecordParseError, match="two comma"):
             parse_record("t,a\n0.25,1,9\n")
+
+
+def _frozen_completeness_defect(evals, scale, order):
+    """readout.completeness_defect as it was before the slice kernel, frozen."""
+    center = 0.5 * (evals[0] + evals[-1])
+    b = scale * (evals - center)
+    x, w = np.polynomial.hermite.hermgauss(order)
+    s = np.einsum("i,im->m", w / np.sqrt(np.pi), np.exp(2.0 * np.outer(x, b) - b**2))
+    return float(np.max(np.abs(s - 1.0)))
+
+
+def _frozen_hermgauss_kernel(a_op, kappa, dt, order):
+    """chm._hermgauss_kernel as it was before the slice kernel, frozen."""
+    evals, q = a_op.eigh()
+    center = 0.5 * (evals[0] + evals[-1])
+    b = np.sqrt(2.0 * kappa * dt) * (evals - center)
+    x, w = np.polynomial.hermite.hermgauss(order)
+    g = np.exp(np.outer(x, b) - 0.5 * b**2)
+    k = np.einsum("i,im,in->mn", w / np.sqrt(np.pi), g, g)
+    return evals, q, k
+
+
+def _random_observable(rng, dim, degenerate):
+    """Eigenvalues in [-1, 1] in a random eigenbasis; with ``degenerate`` at
+    least the first two coincide."""
+    if degenerate:
+        evals = rng.choice([-1.0, 0.0, 1.0], dim)
+        evals[1] = evals[0]
+    else:
+        evals = rng.uniform(-1.0, 1.0, dim)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return HermitianOperator((q * evals) @ q.conj().T)
+
+
+class TestFuzzySlice:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        log10_kdt=st.floats(-4.0, 1.5),
+        order=st.integers(10, 60),
+        n_readouts=st.integers(1, 20),
+    )
+    @example(dim=3, seed=1, degenerate=False, log10_kdt=-3.0, order=40, n_readouts=5)
+    @example(dim=3, seed=1, degenerate=True, log10_kdt=1.5, order=10, n_readouts=5)
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_the_frozen_copies(
+        self, dim, seed, degenerate, log10_kdt, order, n_readouts
+    ):
+        rng = np.random.default_rng(seed)
+        a_op = _random_observable(rng, dim, degenerate)
+        kappa = 10.0 ** rng.uniform(-1.0, 1.0)
+        dt = 10.0**log10_kdt / kappa
+        kernel = FuzzySlice(a_op, kappa, dt)
+
+        evals, q, k_ref = _frozen_hermgauss_kernel(a_op, kappa, dt, order)
+        assert kernel.evals.tobytes() == evals.tobytes() and kernel.q.tobytes() == q.tobytes()
+        assert kernel.dephasing_kernel(order).tobytes() == k_ref.tobytes()
+        defect = kernel.completeness_defect(order)
+        ref = _frozen_completeness_defect(evals, np.sqrt(2.0 * kappa * dt), order)
+        assert np.float64(defect).tobytes() == np.float64(ref).tobytes()
+
+        # a batch of readouts gives each row the bits of its own scalar call,
+        # which are those of the factor formula the chain and chm sites wrote
+        a = rng.uniform(-2.0, 2.0, n_readouts)
+        rows = np.stack([kernel.factor(float(x)) for x in a])
+        assert kernel.factor(a).tobytes() == rows.tobytes()
+        out = np.empty((n_readouts, dim))
+        assert kernel.factor(a, out=out) is out and out.tobytes() == rows.tobytes()
+        assert rows[0].tobytes() == np.exp(-kappa * (evals - a[0]) ** 2 * dt).tobytes()
+        shot = FuzzySlice(a_op, kappa, 1.0).factor(a[0])
+        assert shot.tobytes() == np.exp(-kappa * (evals - a[0]) ** 2).tobytes()
+        r = (q * np.exp(-kappa * (evals - a[0]) ** 2 * dt)) @ q.conj().T
+        assert kernel.operator(a[0]).tobytes() == r.tobytes()

@@ -437,7 +437,7 @@ class TestGuards:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("qmeas.sse.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         model, grid = dephasing_model(), TimeGrid(0.0, 1e-3, 10)
         with pytest.raises(ValidationError, match="use a seed >= 0"):
             ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=-1, workers=2)
