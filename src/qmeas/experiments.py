@@ -143,8 +143,10 @@ def run_zeno_scan(
         transfers[i] = rho.entries[0, 0].real
         if n_traj > 0:
             grid = _scan_grid(sys_k, t_flip)
+            # only the final node is read, so only its projector sums are kept
             rho_sum, _ = ensemble_accumulate(
-                model, sys_k.ground_state(), grid, n_traj, seed, workers
+                model, sys_k.ground_state(), grid, n_traj, seed, workers,
+                store_every=grid.n_steps,
             )
             mean_final = rho_sum[-1] / n_traj
             distances[i] = trace_distance(

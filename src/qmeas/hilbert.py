@@ -9,7 +9,7 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -125,22 +125,32 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense positive semidefinite unit-trace matrix."""
+    """Dense positive semidefinite unit-trace matrix.
+
+    ``_min_eigenvalue`` is a private construction path for a caller that has
+    just run eigvalsh on a matrix that 0.5 (m + m^H) leaves unchanged bit
+    for bit: its smallest eigenvalue is reused instead of computed again.
+    The Hermiticity, trace and positivity checks still run.
+    """
 
     entries: np.ndarray
     dim: int = field(init=False)
+    _min_eigenvalue: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _min_eigenvalue):
         m = _as_complex_matrix(self.entries, "DensityMatrix")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise ValidationError("density matrix must be Hermitian to 1e-12")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValidationError(f"density matrix trace must be 1: got {tr:.12g}")
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+        sym = 0.5 * (m + m.conj().T)
+        lo = _min_eigenvalue
+        if lo is None:
+            lo = float(np.min(np.linalg.eigvalsh(sym)))
         if lo < -POSITIVITY_ATOL:
             raise ValidationError(f"density matrix has negative eigenvalue {lo:.3g}")
-        object.__setattr__(self, "entries", _frozen(0.5 * (m + m.conj().T)))
+        object.__setattr__(self, "entries", _frozen(sym))
         object.__setattr__(self, "dim", m.shape[0])
 
     @staticmethod

@@ -126,7 +126,9 @@ def integrate_lindblad(
                 f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
             )
         if (k + 1) % store_every == 0 or k + 1 == grid.n_steps:
-            out.append(DensityMatrix(rho))
+            # _settle's rho is its own Hermitian part, bit for bit, so lo is
+            # the value DensityMatrix would compute
+            out.append(DensityMatrix(rho, _min_eigenvalue=lo))
     return out
 
 

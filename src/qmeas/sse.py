@@ -42,6 +42,7 @@ one that gives numpy's pairwise order (see _step_kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -232,13 +233,16 @@ def _run_batch(
     seeds: list[int] | range,
     keep_history: bool = True,
     projector_sums: bool = True,
+    store_every: int = 1,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Advance a batch of trajectories in one time loop; returns (history,
     records, projector sums). History (batch, n+1, dim), or None without
     ``keep_history``; records (batch, n), or without the history their sums
-    per chunk of CHUNK seeds, (chunks, n); projector sums per chunk (chunks,
-    n+1, dim, dim), or None without ``projector_sums``. A chunk's sums add its
-    trajectories in seed order, so they are the same bits in any batch.
+    per chunk of CHUNK seeds, (chunks, n); projector sums per chunk at the
+    nodes that ensemble_accumulate's ``store_every`` keeps, (chunks,
+    ceil(n / store_every) + 1, dim, dim), or None without ``projector_sums``.
+    A chunk's sums add its trajectories in seed order, so they are the same
+    bits in any batch.
     """
     b = len(seeds)
     d = model.dim
@@ -250,7 +254,10 @@ def _run_batch(
     # time-major, so each step writes its states to one contiguous row
     hist = np.empty((n + 1, b, d), dtype=complex) if keep_history else None
     recs = np.empty((b if keep_history else n_chunks, n))
-    sums = np.empty((n_chunks, n + 1, d, d), dtype=complex) if projector_sums else None
+    n_stored = -(-n // store_every) + 1
+    sums = np.empty((n_chunks, n_stored, d, d), dtype=complex) if projector_sums else None
+    # the next node whose sums are kept; past the grid when none are
+    next_node = min(store_every, n) if projector_sums else n + 1
     if hist is not None:
         hist[0] = psi
     if sums is not None:
@@ -267,11 +274,13 @@ def _run_batch(
         exps, norms = np.empty((b, m)), np.empty((b, m))
         with np.errstate(all="ignore"):
             for k in range(m):
-                out = hist[start + k + 1] if hist is not None else spare
+                node = start + k + 1
+                out = hist[node] if hist is not None else spare
                 step(psi, dws[:, k], out, exps[:, k], norms[:, k])
                 psi, spare = out, psi
-                if sums is not None:
-                    _by_chunk(psi, _projectors, sums[:, start + k + 1])
+                if node == next_node:
+                    _by_chunk(psi, _projectors, sums[:, -(-node // store_every)])
+                    next_node = min(node + store_every, n)
         _check_norms(norms)
         block = recs[:, start:stop] if keep_history else np.empty((b, m))
         np.add(exps, dws * rec_scale, out=block)
@@ -298,10 +307,13 @@ def simulate_trajectory(
     )
 
 
-def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
-    """Pool task: per-chunk (projector sums, record sums) of one share of seeds."""
+def _chunk_task(args, store_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Pool task: per-chunk (projector sums at the stored nodes, record sums)
+    of one share of seeds."""
     model, psi0, grid, seeds = args
-    _, rec_sums, sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
+    _, rec_sums, sums = _run_batch(
+        model, psi0, grid, seeds, keep_history=False, store_every=store_every
+    )
     return sums, rec_sums
 
 
@@ -309,7 +321,8 @@ def map_shares(task, args: tuple, seeds: range, workers: int) -> list:
     """Results of ``task((*args, share))`` in seed order, over contiguous,
     balanced shares of seeds made of whole CHUNK-seed chunks: one share per
     worker, at most one per chunk, run on a process pool when there are two
-    or more. ``task`` is a module-level function, so the pool can pickle it."""
+    or more. ``task`` is a module-level function, or a ``functools.partial``
+    of one, so the pool can pickle it."""
     n_chunks = -(-len(seeds) // CHUNK)
     shares = max(1, min(workers, n_chunks))
     cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [len(seeds)]
@@ -339,13 +352,18 @@ def ensemble_accumulate(
     n_traj: int,
     seed_base: int,
     workers: int = 1,
+    store_every: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of trajectory projectors per grid node and of records per step.
+    """Sums of trajectory projectors at the kept grid nodes and of records
+    per step.
 
-    Each worker runs a contiguous, balanced share of fixed chunks of CHUNK
-    trajectories in one time loop; chunk partial sums are combined in chunk
-    order, so the result is identical for any worker count. Returns
-    (projector sums (n+1, d, d), record sums (n,)).
+    The projector sums are kept at t0, after every ``store_every``-th step
+    and at the final node, as integrate_lindblad stores its states; a kept
+    node's sums have the same bits for any ``store_every``. Each worker runs
+    a contiguous, balanced share of fixed chunks of CHUNK trajectories in
+    one time loop; chunk partial sums are combined in chunk order, so the
+    result is identical for any worker count. Returns (projector sums
+    (ceil(n / store_every) + 1, d, d), record sums (n,)).
     """
     if model.dim != psi0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
@@ -353,9 +371,15 @@ def ensemble_accumulate(
         raise ValidationError("n_traj must be >= 1")
     if seed_base < 0:
         raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
+    if not isinstance(store_every, (int, np.integer)) or store_every < 1:
+        raise ValidationError(
+            f"store_every must be an integer >= 1, got {store_every!r}; "
+            "pass 1 to keep every grid node"
+        )
     _guard(model, grid.dt)
     seeds = range(seed_base, seed_base + n_traj)
-    parts = map_shares(_chunk_task, (model, psi0, grid), seeds, workers)
+    task = partial(_chunk_task, store_every=store_every)
+    parts = map_shares(task, (model, psi0, grid), seeds, workers)
     return fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts])
 
 

@@ -6,6 +6,7 @@ import pytest
 from qmeas.errors import ValidationError
 from qmeas.experiments import (
     DrivenTwoLevel,
+    _scan_grid,
     analyze_rabi_line,
     moving_average,
     periodogram,
@@ -14,7 +15,7 @@ from qmeas.experiments import (
     run_zeno_scan,
 )
 from qmeas.hilbert import DensityMatrix, trace_distance
-from qmeas.lindblad import integrate_lindblad
+from qmeas.lindblad import integrate_lindblad, lindblad_exact
 from qmeas.readout import TimeGrid
 from qmeas.sse import _run_batch, ensemble_accumulate
 
@@ -41,6 +42,25 @@ class TestZenoScan:
     def test_sse_cross_check_inside_scenario(self):
         scan = run_zeno_scan(soft_system(), [1.0], n_traj=2000, seed=0)
         assert scan.sse_trace_distances[0] <= 0.02
+
+    def test_cross_check_equals_the_all_node_sums(self):
+        # the scan keeps only the final node's projector sums; its numbers are
+        # the bits of a reference that reads the last row of all n + 1 nodes
+        system, kappas, n_traj, seed = DrivenTwoLevel(2.0, 4.0, 1.0), [0.5, 3.0], 70, 11
+        scan = run_zeno_scan(system, kappas, n_traj=n_traj, seed=seed, workers=2)
+        transfers, distances = [], []
+        for kappa in kappas:
+            sys_k = DrivenTwoLevel(2.0, 4.0, kappa)
+            model, t_flip = sys_k.monitoring_model(), np.pi / sys_k.rabi
+            rho = lindblad_exact(model, DensityMatrix.from_state(sys_k.ground_state()), t_flip)
+            grid = _scan_grid(sys_k, t_flip)
+            rho_sum, _ = ensemble_accumulate(model, sys_k.ground_state(), grid, n_traj, seed)
+            assert rho_sum.shape == (grid.n_steps + 1, 2, 2)
+            mean = rho_sum[-1] / n_traj
+            transfers.append(rho.entries[0, 0].real)
+            distances.append(trace_distance(DensityMatrix(0.5 * (mean + mean.conj().T)), rho))
+        assert scan.transfer_probabilities.tobytes() == np.clip(transfers, 0.0, 1.0).tobytes()
+        assert scan.sse_trace_distances.tobytes() == np.array(distances).tobytes()
 
     def test_kappa_list_validation(self):
         with pytest.raises(ValidationError):
@@ -196,7 +216,8 @@ class TestScenarioDeterminism:
         system = soft_system(1.0)
         grid = TimeGrid(0.0, 1e-3, 1000)
         rho_sum, _ = ensemble_accumulate(
-            system.monitoring_model(), system.ground_state(), grid, 500, seed_base=2
+            system.monitoring_model(), system.ground_state(), grid, 500, seed_base=2,
+            store_every=grid.n_steps,
         )
         ref = integrate_lindblad(
             system.lindblad_model(),

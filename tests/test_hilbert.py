@@ -61,6 +61,16 @@ class TestTypes:
         with pytest.raises(ValidationError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_given_eigenvalue_keeps_the_other_checks(self):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), _min_eigenvalue=0.4)
+        with pytest.raises(ValidationError, match="trace"):
+            DensityMatrix(np.eye(2), _min_eigenvalue=1.0)
+        with pytest.raises(ValidationError, match="eigenvalue"):
+            DensityMatrix(np.eye(2) / 2, _min_eigenvalue=-1e-3)
+        rho = DensityMatrix(np.eye(2) / 2, _min_eigenvalue=0.5)
+        assert rho.entries.tobytes() == DensityMatrix(np.eye(2) / 2).entries.tobytes()
+
     def test_immutability(self):
         op = pauli_z()
         with pytest.raises(ValueError):

@@ -260,6 +260,40 @@ class TestRhsBits:
             assert x.entries.tobytes() == y.entries.tobytes()
 
 
+class TestStoredStates:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 20),
+        store_every=st.integers(1, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_reused_spectrum_builds_the_public_density_matrix(
+        self, dim, seed, n_steps, store_every
+    ):
+        # each stored state reuses the positivity abort's eigenvalue; it must
+        # be the state and the eigenvalue that DensityMatrix(rho) computes
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        a = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        model = LindbladModel(h, a, rng.uniform(0.1, 2.0))
+        rho0 = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+        built = []
+
+        def recording(m, _min_eigenvalue=None):
+            built.append((m.copy(), _min_eigenvalue))
+            return DensityMatrix(m, _min_eigenvalue=_min_eigenvalue)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lindblad_mod, "DensityMatrix", recording)
+            out = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, n_steps), store_every)
+        assert len(built) == len(out) - 1 == -(-n_steps // store_every)
+        for (m, lo), state in zip(built, out[1:]):
+            public = DensityMatrix(m)
+            assert state.entries.tobytes() == public.entries.tobytes()
+            assert lo == float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+
+
 class TestKappaConstructors:
     def test_brownian_values(self):
         assert kappa_from_brownian(1.0, 0.5) == pytest.approx(1.0)

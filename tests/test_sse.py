@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeas.chm import MonitoringModel
@@ -430,6 +430,60 @@ class TestKernelSignedZeros:
         assert _same_bits(out, ref_out)
         assert _same_bits(exp_a, ref_exp)
         assert _same_bits(norms, ref_norms)
+
+
+class TestStoreEvery:
+    """Projector sums kept only at t0, every store_every-th step and the final
+    node are the bits of those rows of the all-node sums."""
+
+    @given(
+        dim=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        n_traj=st.sampled_from([1, 64, 65, 150]),
+        n_steps=st.integers(1, 40),
+        store_every=st.integers(1, 50),
+        workers=st.sampled_from([1, 2]),
+    )
+    @example(dim=2, seed=0, n_traj=65, n_steps=30, store_every=10, workers=2)  # divides
+    @example(dim=3, seed=1, n_traj=150, n_steps=30, store_every=7, workers=2)  # does not
+    @example(dim=2, seed=2, n_traj=64, n_steps=12, store_every=12, workers=1)  # final only
+    @settings(max_examples=15, deadline=None)
+    def test_stored_rows_are_the_all_node_bits(
+        self, dim, seed, n_traj, n_steps, store_every, workers
+    ):
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        model, grid = MonitoringModel(h, a, 0.5), TimeGrid(0.0, 1e-3, n_steps)
+        every, rec_every = ensemble_accumulate(model, psi0, grid, n_traj, seed_base=seed % 1000)
+        some, rec_some = ensemble_accumulate(
+            model, psi0, grid, n_traj, seed % 1000, workers, store_every=store_every
+        )
+        nodes = sorted({*range(0, n_steps + 1, store_every), n_steps})
+        assert some.shape == (-(-n_steps // store_every) + 1, dim, dim)
+        assert _same_bits(some, every[nodes])
+        assert _same_bits(rec_some, rec_every)
+
+    def test_trajectory_history_ignores_the_stored_nodes(self):
+        model, grid = dephasing_model(kappa=0.5, h=pauli_x()), TimeGrid(0.0, 1e-3, 20)
+        seeds = list(range(5, 70))
+        hist, recs, sums = _run_batch(model, plus_state(2), grid, seeds)
+        hist3, recs3, sums3 = _run_batch(model, plus_state(2), grid, seeds, store_every=3)
+        assert _same_bits(hist3, hist) and _same_bits(recs3, recs)
+        assert _same_bits(sums3, sums[:, [0, 3, 6, 9, 12, 15, 18, 20]])
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_guard(self, bad, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        grid = TimeGrid(0.0, 1e-3, 10)
+        with pytest.raises(
+            ValidationError, match=rf"store_every must be an integer >= 1, got {bad}; pass 1"
+        ):
+            ensemble_accumulate(dephasing_model(), plus_state(2), grid, 70, 1, 2, store_every=bad)
 
 
 class TestGuards:
