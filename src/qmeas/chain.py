@@ -137,12 +137,12 @@ def run_decoherence_chain(
     n_steps uniforms followed by n_steps normals, the layout also used by the
     vectorized ensemble runner.
     """
-    finals, readouts, collapsed, pops = _run_chain_batch(
+    amps, readouts, collapsed, pops = _run_chain_batch(
         k, psi0, n_steps, [seed], collapse_threshold
     )
     c = int(collapsed[0])
     return ChainOutcome(
-        final_state=QuantumState(finals[0]),
+        final_state=QuantumState((amps @ k.kernel.q.T)[0]),
         readouts=readouts[0],
         collapsed_to=None if c < 0 else c,
         populations=pops[0],
@@ -157,7 +157,7 @@ def _run_chain_batch(
     collapse_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized chains, one Philox stream per seed (n uniforms then n
-    normals). Returns final amplitudes (batch, dim) in the original basis,
+    normals). Returns final amplitudes (batch, dim) in the eigenbasis of A,
     readouts (batch, n), collapsed index per chain (-1 for none), and
     eigenspace population sums per shot over each chunk of CHUNK seeds
     (chunks, n + 1, dim), added in seed order.
@@ -179,7 +179,7 @@ def _run_chain_batch(
     zs = np.empty((n_steps, b))
     for i, s in enumerate(seeds):
         if s < 0:
-            raise ValidationError("seeds must be non-negative")
+            raise ValidationError(f"seed {s} is negative; use a seed >= 0")
         gen = np.random.Generator(np.random.Philox(key=int(s)))
         us[:, i] = gen.random(n_steps)
         zs[:, i] = gen.standard_normal(n_steps)
@@ -223,7 +223,7 @@ def _run_chain_batch(
         np.logical_and(hit, free, out=hit)
         if hit.any():
             collapsed[hit] = pops[hit].argmax(axis=1)
-    return amps @ q.T, readouts.T, collapsed, pop_sums
+    return amps, readouts.T, collapsed, pop_sums
 
 
 # chains stepped at once in one process, which bounds its scratch; a multiple
@@ -235,15 +235,14 @@ def _chain_share(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pool task: collapsed indices, final eigenspace populations and
     per-chunk population sums of one share of seeds, _BLOCK chains at a time."""
     k, psi0, n_steps, collapse_threshold, seeds = args
-    _, q = _eigensystem(k)
     collapsed = np.empty(len(seeds), dtype=int)
     pops_final = np.empty((len(seeds), k.dim))
     sums = []
     for lo in range(0, len(seeds), _BLOCK):
         block = seeds[lo : lo + _BLOCK]
-        finals, _, c, chunk_sums = _run_chain_batch(k, psi0, n_steps, block, collapse_threshold)
+        amps, _, c, chunk_sums = _run_chain_batch(k, psi0, n_steps, block, collapse_threshold)
         collapsed[lo : lo + len(block)] = c
-        pops_final[lo : lo + len(block)] = np.abs(finals @ q.conj()) ** 2
+        pops_final[lo : lo + len(block)] = np.abs(amps) ** 2
         sums.append(chunk_sums)
     return collapsed, pops_final, np.concatenate(sums)
 
@@ -268,9 +267,7 @@ def run_chain_ensemble(
     chunks of CHUNK chains, as sse.ensemble_accumulate does. The mean
     populations are summed per chunk in seed order and the chunk sums are
     added in chunk order, so they are the same bits for any worker count.
-    Collapse indices do not depend on it either. The final populations go
-    through a matrix product, whose last bits numpy computes another way for
-    a share of one chain.
+    Collapse indices and final populations do not depend on it either.
     """
     if n_chains < 1:
         raise ValidationError("n_chains must be >= 1")

@@ -30,7 +30,7 @@ from .experiments import (
 from .hilbert import DensityMatrix, trace_distance
 from .lindblad import MonitoringModel, integrate_lindblad
 from .readout import constant_record, parse_record, reference_log_weight
-from .sse import ensemble_accumulate
+from .sse import ensemble_average
 from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
 from .verify import run_all_checks
 
@@ -135,11 +135,10 @@ def _run_chm(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
 def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
-    rho_sum, _ = ensemble_accumulate(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
+    summary = ensemble_average(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
     ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
     expects, dists = [], []
-    for m, r in zip(rho_sum, ref):
-        mean = DensityMatrix(0.5 * (m + m.conj().T) / cfg.n_traj)
+    for mean, r in zip(summary.mean_rho, ref):
         dists.append(trace_distance(mean, r))
         expects.append(float(np.trace(cfg.a.entries @ mean.entries).real))
     header = ["t", "expect_A", "trace_distance_lindblad"]

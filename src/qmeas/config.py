@@ -34,7 +34,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .hilbert import HermitianOperator, QuantumState, basis_state, pauli_x, pauli_z
+from .hilbert import HermitianOperator, QuantumState, basis_state, pauli_x, pauli_z, plus_state
 from .readout import TimeGrid
 
 SCENARIOS = (
@@ -245,7 +245,7 @@ def _state_from_text(text: str, line: int, dim: int) -> QuantumState:
     named = {
         "basis0": lambda: basis_state(dim, 0),
         "basis1": lambda: basis_state(dim, 1),
-        "plus": lambda: QuantumState(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)),
+        "plus": lambda: plus_state(dim),
     }
     key = text.strip().lower()
     if key in named:

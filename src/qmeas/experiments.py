@@ -34,7 +34,7 @@ from .hilbert import (
 )
 from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
-from .sse import SseTrajectory, ensemble_accumulate, simulate_trajectory
+from .sse import SseTrajectory, ensemble_accumulate, mean_density, simulate_trajectory
 
 
 @dataclass(frozen=True)
@@ -148,10 +148,7 @@ def run_zeno_scan(
                 model, sys_k.ground_state(), grid, n_traj, seed, workers,
                 store_every=grid.n_steps,
             )
-            mean_final = rho_sum[-1] / n_traj
-            distances[i] = trace_distance(
-                DensityMatrix(0.5 * (mean_final + mean_final.conj().T)), rho
-            )
+            distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), rho)
     return ZenoScanResult(kappas, np.clip(transfers, 0.0, 1.0), distances)
 
 

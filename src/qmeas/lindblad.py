@@ -22,7 +22,6 @@ from .hilbert import (
     DensityMatrix,
     HermitianOperator,
     NonHermitianOperator,
-    double_commutator,
     matrix_exponential,
 )
 from .readout import TimeGrid
@@ -64,9 +63,7 @@ def lindblad_rhs(model: MonitoringModel, rho: DensityMatrix) -> np.ndarray:
     """-i[H, rho] - (kappa/2) [A, [A, rho]]; Hermitian and traceless."""
     if model.dim != rho.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho dim {rho.dim}")
-    h = model.H.entries
-    r = rho.entries
-    return -1j * (h @ r - r @ h) - 0.5 * model.kappa * double_commutator(model.A, rho)
+    return _rhs_raw(model.H.entries, model.A.entries, model.kappa, rho.entries)
 
 
 def _rhs_raw(h: np.ndarray, a: np.ndarray, kappa: float, r: np.ndarray) -> np.ndarray:
@@ -95,16 +92,15 @@ def integrate_lindblad(
 ) -> list[DensityMatrix]:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    Returns the state at t0 and after every ``store_every``-th step (the final
-    state is always included). Each stored state is re-symmetrized and
+    Returns the states at ``grid.stored_nodes(store_every)``: t0, after every
+    ``store_every``-th step and the final node. Each is re-symmetrized and
     trace-renormalized; the trace drift before renormalization is checked to
     stay below 1e-9 per step. An eigenvalue of rho below -1e-6 aborts with a
     step-size diagnosis instead of silently projecting back.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
-    if store_every < 1:
-        raise ValidationError("store_every must be >= 1")
+    stored = set(grid.stored_nodes(store_every))
     h = model.H.entries
     a = model.A.entries
     kappa = model.kappa
@@ -125,7 +121,7 @@ def integrate_lindblad(
                 f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < {POSITIVITY_ABORT}); "
                 f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
             )
-        if (k + 1) % store_every == 0 or k + 1 == grid.n_steps:
+        if k + 1 in stored:
             # _settle's rho is its own Hermitian part, bit for bit, so lo is
             # the value DensityMatrix would compute
             out.append(DensityMatrix(rho, _min_eigenvalue=lo))

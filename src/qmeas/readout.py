@@ -49,6 +49,16 @@ class TimeGrid:
     def midpoints(self) -> np.ndarray:
         return self.t0 + self.dt * (np.arange(self.n_steps) + 0.5)
 
+    def stored_nodes(self, store_every: int) -> list[int]:
+        """The nodes a run keeps: t0, after every ``store_every``-th step and
+        always the final node, [0, s, 2s, ..., n_steps]."""
+        if not isinstance(store_every, (int, np.integer)) or store_every < 1:
+            raise ValidationError(
+                f"store_every must be an integer >= 1, got {store_every!r}; "
+                "pass 1 to keep every grid node"
+            )
+        return [*range(0, self.n_steps, store_every), self.n_steps]
+
 
 @dataclass(frozen=True)
 class ReadoutRecord:

@@ -42,7 +42,6 @@ one that gives numpy's pairwise order (see _step_kernel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -231,18 +230,15 @@ def _run_batch(
     psi0: QuantumState,
     grid: TimeGrid,
     seeds: list[int] | range,
-    keep_history: bool = True,
-    projector_sums: bool = True,
-    store_every: int = 1,
+    store_every: int | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Advance a batch of trajectories in one time loop; returns (history,
-    records, projector sums). History (batch, n+1, dim), or None without
-    ``keep_history``; records (batch, n), or without the history their sums
-    per chunk of CHUNK seeds, (chunks, n); projector sums per chunk at the
-    nodes that ensemble_accumulate's ``store_every`` keeps, (chunks,
-    ceil(n / store_every) + 1, dim, dim), or None without ``projector_sums``.
-    A chunk's sums add its trajectories in seed order, so they are the same
-    bits in any batch.
+    records, projector sums). Without ``store_every``, a trajectory run:
+    history (batch, n+1, dim), records (batch, n) and no sums. With it, an
+    ensemble share: no history, record sums per chunk of CHUNK seeds (chunks,
+    n), and projector sums per chunk at ``grid.stored_nodes(store_every)``
+    (chunks, nodes, dim, dim). A chunk's sums add its trajectories in seed
+    order, so they are the same bits in any batch.
     """
     b = len(seeds)
     d = model.dim
@@ -251,17 +247,18 @@ def _run_batch(
     n_chunks = -(-b // CHUNK)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
     psi, spare = np.tile(psi0.amplitudes, (b, 1)), np.empty((b, d), complex)
-    # time-major, so each step writes its states to one contiguous row
-    hist = np.empty((n + 1, b, d), dtype=complex) if keep_history else None
-    recs = np.empty((b if keep_history else n_chunks, n))
-    n_stored = -(-n // store_every) + 1
-    sums = np.empty((n_chunks, n_stored, d, d), dtype=complex) if projector_sums else None
-    # the next node whose sums are kept; past the grid when none are
-    next_node = min(store_every, n) if projector_sums else n + 1
-    if hist is not None:
+    if store_every is None:
+        nodes, sums = [], None
+        # time-major, so each step writes its states to one contiguous row
+        hist, recs = np.empty((n + 1, b, d), dtype=complex), np.empty((b, n))
         hist[0] = psi
-    if sums is not None:
+    else:
+        nodes, hist, recs = grid.stored_nodes(store_every), None, np.empty((n_chunks, n))
+        sums = np.empty((n_chunks, len(nodes), d, d), dtype=complex)
         _by_chunk(psi, _projectors, sums[:, 0])
+    # the next kept node and its row of sums; past the grid when none is left
+    pending = iter(enumerate(nodes[1:], start=1))
+    row, next_node = next(pending, (0, n + 1))
     step = _step_kernel(model.H.entries, model.A.entries, model.kappa, dt, b)
     rec_scale = 1.0 / (2.0 * np.sqrt(model.kappa) * dt)
     # Balanced blocks, so none is a single step when n > 1: numpy sums a
@@ -279,12 +276,12 @@ def _run_batch(
                 step(psi, dws[:, k], out, exps[:, k], norms[:, k])
                 psi, spare = out, psi
                 if node == next_node:
-                    _by_chunk(psi, _projectors, sums[:, -(-node // store_every)])
-                    next_node = min(node + store_every, n)
+                    _by_chunk(psi, _projectors, sums[:, row])
+                    row, next_node = next(pending, (0, n + 1))
         _check_norms(norms)
-        block = recs[:, start:stop] if keep_history else np.empty((b, m))
+        block = recs[:, start:stop] if hist is not None else np.empty((b, m))
         np.add(exps, dws * rec_scale, out=block)
-        if not keep_history:
+        if hist is None:
             _by_chunk(block, lambda g: g.sum(axis=1), recs[:, start:stop])
     return None if hist is None else hist.transpose(1, 0, 2), recs, sums
 
@@ -298,7 +295,7 @@ def simulate_trajectory(
     if seed < 0:
         raise ValidationError(f"seed {seed} is negative; use a seed >= 0")
     _guard(model, grid.dt)
-    hist, recs, _ = _run_batch(model, psi0, grid, [seed], projector_sums=False)
+    hist, recs, _ = _run_batch(model, psi0, grid, [seed])
     return SseTrajectory(
         grid=grid,
         amplitudes=hist[0],
@@ -307,13 +304,11 @@ def simulate_trajectory(
     )
 
 
-def _chunk_task(args, store_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
     """Pool task: per-chunk (projector sums at the stored nodes, record sums)
     of one share of seeds."""
-    model, psi0, grid, seeds = args
-    _, rec_sums, sums = _run_batch(
-        model, psi0, grid, seeds, keep_history=False, store_every=store_every
-    )
+    model, psi0, grid, store_every, seeds = args
+    _, rec_sums, sums = _run_batch(model, psi0, grid, seeds, store_every)
     return sums, rec_sums
 
 
@@ -321,8 +316,7 @@ def map_shares(task, args: tuple, seeds: range, workers: int) -> list:
     """Results of ``task((*args, share))`` in seed order, over contiguous,
     balanced shares of seeds made of whole CHUNK-seed chunks: one share per
     worker, at most one per chunk, run on a process pool when there are two
-    or more. ``task`` is a module-level function, or a ``functools.partial``
-    of one, so the pool can pickle it."""
+    or more. ``task`` is a module-level function, so the pool can pickle it."""
     n_chunks = -(-len(seeds) // CHUNK)
     shares = max(1, min(workers, n_chunks))
     cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [len(seeds)]
@@ -357,13 +351,12 @@ def ensemble_accumulate(
     """Sums of trajectory projectors at the kept grid nodes and of records
     per step.
 
-    The projector sums are kept at t0, after every ``store_every``-th step
-    and at the final node, as integrate_lindblad stores its states; a kept
-    node's sums have the same bits for any ``store_every``. Each worker runs
-    a contiguous, balanced share of fixed chunks of CHUNK trajectories in
-    one time loop; chunk partial sums are combined in chunk order, so the
-    result is identical for any worker count. Returns (projector sums
-    (ceil(n / store_every) + 1, d, d), record sums (n,)).
+    The projector sums are kept at ``grid.stored_nodes(store_every)``, the
+    nodes integrate_lindblad stores; a kept node's sums have the same bits
+    for any ``store_every``. Each worker runs a contiguous, balanced share of
+    fixed chunks of CHUNK trajectories in one time loop; chunk partial sums
+    are combined in chunk order, so the result is identical for any worker
+    count. Returns (projector sums (nodes, d, d), record sums (n,)).
     """
     if model.dim != psi0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
@@ -371,16 +364,17 @@ def ensemble_accumulate(
         raise ValidationError("n_traj must be >= 1")
     if seed_base < 0:
         raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
-    if not isinstance(store_every, (int, np.integer)) or store_every < 1:
-        raise ValidationError(
-            f"store_every must be an integer >= 1, got {store_every!r}; "
-            "pass 1 to keep every grid node"
-        )
+    grid.stored_nodes(store_every)  # a bad store_every is rejected before any fork
     _guard(model, grid.dt)
     seeds = range(seed_base, seed_base + n_traj)
-    task = partial(_chunk_task, store_every=store_every)
-    parts = map_shares(task, (model, psi0, grid), seeds, workers)
+    parts = map_shares(_chunk_task, (model, psi0, grid, store_every), seeds, workers)
     return fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts])
+
+
+def mean_density(rho_sum: np.ndarray, n_traj: int) -> DensityMatrix:
+    """The ensemble mean state from a sum of n_traj trajectory projectors:
+    its Hermitian part over n_traj."""
+    return DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / n_traj)
 
 
 def ensemble_average(
@@ -396,5 +390,6 @@ def ensemble_average(
     (n_traj, seed_base) regardless of execution order. With n_traj = 1 the
     result degenerates to the projector sequence of that single trajectory."""
     rho_sum, _ = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
-    mean = tuple(DensityMatrix(0.5 * (m + m.conj().T) / n_traj) for m in rho_sum)
+    mean = tuple(mean_density(m, n_traj) for m in rho_sum)
     return EnsembleSummary(n_traj=n_traj, mean_rho=mean, seed_base=seed_base, grid=grid)
+

@@ -44,7 +44,7 @@ from .hilbert import (
 )
 from .lindblad import integrate_lindblad
 from .readout import TimeGrid, constant_record
-from .sse import ensemble_accumulate
+from .sse import ensemble_accumulate, ensemble_average
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,10 @@ def check_sse_lindblad_equivalence(n_traj: int = 2000, workers: int = 1) -> Chec
     grid = TimeGrid(0.0, 1e-3, 2000)
     psi0 = basis_state(2, 0)
     rhos = integrate_lindblad(MonitoringModel(h, a, kappa), DensityMatrix.from_state(psi0), grid)
-    rho_sum, _ = ensemble_accumulate(
+    summary = ensemble_average(
         MonitoringModel(h, a, kappa), psi0, grid, n_traj, seed_base=1000, workers=workers
     )
-    dists = [
-        trace_distance(DensityMatrix(0.5 * (m + m.conj().T) / n_traj), r)
-        for m, r in zip(rho_sum, rhos)
-    ]
+    dists = [trace_distance(m, r) for m, r in zip(summary.mean_rho, rhos)]
     worst = max(dists)
     return CheckResult(
         "sse_lindblad_equivalence",

@@ -114,6 +114,11 @@ class TestGuards:
         ):
             run_decoherence_chain(k, basis_state(3, 0), 5, seed=1)
 
+    def test_negative_seed_says_to_use_a_seed_of_zero_or_more(self):
+        k = FuzzyKraus(pauli_z(), 0.1)
+        with pytest.raises(ValidationError, match=r"^seed -1 is negative; use a seed >= 0$"):
+            run_decoherence_chain(k, basis_state(2, 0), 5, seed=-1)
+
     @pytest.mark.parametrize("a, strength, message", [
         ("0 0 ; 0 10", 2.0, r"defect 0.202 .*reduce the strength or the spread$"),
         ("1 0 ; 0 1", 0.1, r"give A distinct eigenvalues, .*accept a degenerate A\)$"),
@@ -298,8 +303,8 @@ class TestQuadraticFit:
 
 def _reference_chain_batch(k, psi0, n_steps, seeds, collapse_threshold):
     """The chain batch on fresh arrays, frozen as it was before its scratch
-    was preallocated: population sums over the whole batch, added in seed
-    order."""
+    was preallocated: final amplitudes in the eigenbasis of A, and population
+    sums over the whole batch, added in seed order."""
     evals, q = _eigensystem(k)
     b = len(seeds)
     us = np.empty((b, n_steps))
@@ -327,22 +332,22 @@ def _reference_chain_batch(k, psi0, n_steps, seeds, collapse_threshold):
         top = pops.max(axis=1)
         hit = (top > 1.0 - collapse_threshold) & (collapsed < 0)
         collapsed[hit] = pops.argmax(axis=1)[hit]
-    return amps @ q.T, readouts, collapsed, pop_sums
+    return amps, readouts, collapsed, pop_sums
 
 
 def _reference_ensemble(k, psi0, n_steps, n_chains, seed_base, collapse_threshold=1e-4):
     """The serial ensemble, frozen: blocks of 2048 chains, one sequential sum
-    of the populations over each block."""
-    _, q = _eigensystem(k)
+    of the populations over each block; final populations straight from the
+    eigenbasis amplitudes."""
     seeds = [seed_base + i for i in range(n_chains)]
     collapsed_all = np.empty(n_chains, dtype=int)
     pops_final = np.empty((n_chains, k.dim))
     pop_sums = np.zeros((n_steps + 1, k.dim))
     for lo in range(0, n_chains, 2048):
         chunk = seeds[lo : lo + 2048]
-        finals, _, collapsed, sums = _reference_chain_batch(k, psi0, n_steps, chunk, collapse_threshold)
+        amps, _, collapsed, sums = _reference_chain_batch(k, psi0, n_steps, chunk, collapse_threshold)
         collapsed_all[lo : lo + len(chunk)] = collapsed
-        pops_final[lo : lo + len(chunk)] = np.abs(finals @ q.conj()) ** 2
+        pops_final[lo : lo + len(chunk)] = np.abs(amps) ** 2
         pop_sums += sums
     return collapsed_all, pops_final, pop_sums / n_chains
 
@@ -386,7 +391,8 @@ class TestAgainstFrozenBatch:
         if batch == 1:
             first = run_decoherence_chain(k, psi0, n_steps, seed_base, threshold)
             assert _same_bits(first.populations, ref_sums)
-            assert _same_bits(first.final_state.amplitudes, ref_finals[0])
+            ref_state = (ref_finals @ k.kernel.q.T)[0]
+            assert _same_bits(first.final_state.amplitudes, ref_state)
         got = run_chain_ensemble(k, psi0, n_steps, batch, seed_base, threshold)
         ref = _reference_ensemble(k, psi0, n_steps, batch, seed_base, threshold)
         assert _same_bits(got[0], ref[0])
@@ -402,6 +408,10 @@ class TestEnsembleWorkers:
         for got in runs[1:]:
             for x, y in zip(got, runs[0]):
                 assert _same_bits(x, y)
+        # 65 chains at 2 workers: a share of one chain
+        one, two = (run_chain_ensemble(k, psi0, 200, 65, 40, 1e-3, workers=w) for w in (1, 2))
+        for x, y in zip(one, two):
+            assert _same_bits(x, y)
         ref = _reference_ensemble(k, psi0, 200, 150, 40, 1e-3)
         assert _same_bits(runs[0][0], ref[0]) and _same_bits(runs[0][1], ref[1])
         assert np.max(np.abs(runs[0][2] - ref[2])) <= 1e-13

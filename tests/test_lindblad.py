@@ -223,8 +223,9 @@ class TestExactPropagator:
 
 
 def _reference_rhs_raw(h, a, kappa, r):
-    """The master-equation RHS as it was with a @ r formed twice; frozen here
-    so the version that forms it once is held to its bits."""
+    """The master-equation RHS as it was with a @ r formed twice, the form
+    lindblad_rhs took through hilbert.double_commutator; frozen here so the
+    version that forms it once is held to its bits."""
     dc = a @ (a @ r) - 2.0 * (a @ r @ a) + (r @ a) @ a
     return -1j * (h @ r - r @ h) - 0.5 * kappa * dc
 
@@ -250,6 +251,7 @@ class TestRhsBits:
         grid = TimeGrid(0.0, rng.uniform(1e-3, 0.02), n_steps)
         args = (model.H.entries, model.A.entries, model.kappa, rho0.entries)
         assert lindblad_mod._rhs_raw(*args).tobytes() == _reference_rhs_raw(*args).tobytes()
+        assert lindblad_rhs(model, rho0).tobytes() == _reference_rhs_raw(*args).tobytes()
 
         out = integrate_lindblad(model, rho0, grid)
         with pytest.MonkeyPatch.context() as m:

@@ -246,12 +246,14 @@ class TestEnsemble:
         model = dephasing_model(kappa=0.7, h=pauli_x())
         grid = TimeGrid(0.0, 1e-3, 150)
         seeds = list(range(40, 104))
-        hist, recs, sums = _run_batch(model, plus_state(2), grid, seeds)
-        assert hist.shape == (64, 151, 2)
-        assert _run_batch(model, plus_state(2), grid, seeds, keep_history=False)[0] is None
-        chunk_sums, chunk_recs = _chunk_task((model, plus_state(2), grid, seeds))
-        assert _same_bits(chunk_sums, sums)
-        assert _same_bits(chunk_recs, recs.sum(axis=0, keepdims=True))
+        hist, recs, no_sums = _run_batch(model, plus_state(2), grid, seeds)
+        assert hist.shape == (64, 151, 2) and no_sums is None
+        no_hist, rec_sums, sums = _run_batch(model, plus_state(2), grid, seeds, 1)
+        assert no_hist is None
+        assert _same_bits(sums, _reference_chunk(model, plus_state(2), grid, seeds)[2][None])
+        assert _same_bits(rec_sums, recs.sum(axis=0, keepdims=True))
+        chunk_sums, chunk_recs = _chunk_task((model, plus_state(2), grid, 1, seeds))
+        assert _same_bits(chunk_sums, sums) and _same_bits(chunk_recs, rec_sums)
 
 
 def _reference_raw(h, a, kappa, psi, dw, dt):
@@ -366,13 +368,12 @@ class TestAgainstPerChunkReference:
         grid = TimeGrid(0.0, 1e-3, n_steps)
         seeds = range(seed % 1000, seed % 1000 + batch)
         parts = [_reference_chunk(model, psi0, grid, seeds[lo : lo + 64]) for lo in range(0, batch, 64)]
-        hist, recs, sums = _run_batch(model, psi0, grid, seeds)
+        hist, recs, _ = _run_batch(model, psi0, grid, seeds)
         assert _same_bits(hist, np.concatenate([p[0] for p in parts]))
         assert _same_bits(recs, np.concatenate([p[1] for p in parts]))
-        assert _same_bits(sums, np.stack([p[2] for p in parts]))
-        _, rec_sums, free_sums = _run_batch(model, psi0, grid, seeds, keep_history=False)
+        _, rec_sums, sums = _run_batch(model, psi0, grid, seeds, 1)
         assert _same_bits(rec_sums, np.stack([p[1].sum(axis=0) for p in parts]))
-        assert _same_bits(free_sums, sums)
+        assert _same_bits(sums, np.stack([p[2] for p in parts]))
         # the one-step entry point runs the same kernel
         psi = hist[:, -1] * rng.uniform(0.5, 2.0)
         dw = rng.standard_normal(batch) * np.sqrt(grid.dt)
@@ -461,29 +462,33 @@ class TestStoreEvery:
             model, psi0, grid, n_traj, seed % 1000, workers, store_every=store_every
         )
         nodes = sorted({*range(0, n_steps + 1, store_every), n_steps})
+        assert grid.stored_nodes(store_every) == nodes
         assert some.shape == (-(-n_steps // store_every) + 1, dim, dim)
         assert _same_bits(some, every[nodes])
         assert _same_bits(rec_some, rec_every)
 
-    def test_trajectory_history_ignores_the_stored_nodes(self):
+    def test_share_records_ignore_the_stored_nodes(self):
         model, grid = dephasing_model(kappa=0.5, h=pauli_x()), TimeGrid(0.0, 1e-3, 20)
         seeds = list(range(5, 70))
-        hist, recs, sums = _run_batch(model, plus_state(2), grid, seeds)
-        hist3, recs3, sums3 = _run_batch(model, plus_state(2), grid, seeds, store_every=3)
-        assert _same_bits(hist3, hist) and _same_bits(recs3, recs)
+        _, recs, sums = _run_batch(model, plus_state(2), grid, seeds, 1)
+        _, recs3, sums3 = _run_batch(model, plus_state(2), grid, seeds, 3)
+        assert _same_bits(recs3, recs)
         assert _same_bits(sums3, sums[:, [0, 3, 6, 9, 12, 15, 18, 20]])
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_guard(self, bad, monkeypatch):
+        # the ensemble and the master equation keep the same nodes, so they
+        # reject the same store_every with the same message
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        grid = TimeGrid(0.0, 1e-3, 10)
-        with pytest.raises(
-            ValidationError, match=rf"store_every must be an integer >= 1, got {bad}; pass 1"
-        ):
-            ensemble_accumulate(dephasing_model(), plus_state(2), grid, 70, 1, 2, store_every=bad)
+        model, grid = dephasing_model(), TimeGrid(0.0, 1e-3, 12)
+        message = rf"store_every must be an integer >= 1, got {bad}; pass 1"
+        with pytest.raises(ValidationError, match=message):
+            ensemble_accumulate(model, plus_state(2), grid, 70, 1, 2, store_every=bad)
+        with pytest.raises(ValidationError, match=message):
+            integrate_lindblad(model, DensityMatrix.from_state(plus_state(2)), grid, bad)
 
 
 class TestGuards:
