@@ -10,9 +10,10 @@ per-step Gaussian reference measure of :mod:`qmeas.readout`, is the
 probability density of the record. The same dynamics has a time-sliced
 product form, one contraction factor exp(-kappa*(A-a_k)^2*dt) and one
 unitary factor exp(-i*H*dt) per slice, which is the discrete chain of fuzzy
-measurements interleaved with free evolution. One RK4 loop integrates the
-equation for every caller, taking ||A|| and ||H|| once per record to set the
-substep count of each slice. Integrating the sliced density matrix over all
+measurements interleaved with free evolution. One record loop integrates the
+equation for every caller: ||A|| and ||H|| taken once per record set each
+slice's substep count, and the RK4 of :mod:`qmeas.lindblad` steps -i times
+:func:`effective_hamiltonian`. Integrating the sliced density matrix over all
 readouts recovers the nonselective master equation of :mod:`qmeas.lindblad`.
 The contraction factor, the completeness (generalized unitarity) check and
 the Gauss-Hermite readout integral live in :class:`qmeas.readout.FuzzySlice`,
@@ -33,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import DensityMatrix, NonHermitianOperator, QuantumState, matrix_exponential
-from .lindblad import MonitoringModel
+from .lindblad import MonitoringModel, _rk4
 from .readout import (
     FuzzySlice,
     ReadoutDensity,
@@ -72,17 +73,6 @@ def effective_hamiltonian(model: MonitoringModel, a: float) -> NonHermitianOpera
     return NonHermitianOperator(model.H.entries - 1j * model.kappa * (shifted @ shifted))
 
 
-def _rk4_matrix(gen: np.ndarray, m: np.ndarray, dt: float, n_sub: int) -> np.ndarray:
-    h = dt / n_sub
-    for _ in range(n_sub):
-        k1 = gen @ m
-        k2 = gen @ (m + 0.5 * h * k1)
-        k3 = gen @ (m + 0.5 * h * k2)
-        k4 = gen @ (m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return m
-
-
 def _record_loop(
     model: MonitoringModel,
     record: ReadoutRecord,
@@ -110,8 +100,6 @@ def _record_loop(
             f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; the record "
             "grid is too coarse for this measurement strength, reduce the record dt or kappa"
         )
-    eye = np.eye(model.dim)
-    minus_ih = -1j * model.H.entries
     rows = record.grid.n_steps + 1 if history else 1
     logs = np.empty(rows)
     states = np.empty((rows, *start.shape), dtype=complex)
@@ -119,11 +107,10 @@ def _record_loop(
     m = start
     for k, a in enumerate(record.values):
         a = float(a)
-        shifted = model.A.entries - a * eye
-        gen = minus_ih - model.kappa * (shifted @ shifted)
+        gen = -1j * effective_hamiltonian(model, a).entries
         stiffness = model.kappa * (norm_a + abs(a)) ** 2 + norm_h
         n_sub = max(min_substeps, int(np.ceil(stiffness * dt / SUBSTEP_TARGET)))
-        m = _rk4_matrix(gen, m, dt, n_sub)
+        m = _rk4(gen.__matmul__, m, dt, n_sub)
         if renormalize:
             n = float(np.linalg.norm(m))
             if not np.isfinite(n) or n == 0.0:
@@ -297,5 +284,6 @@ def marginalize_readouts(
                 f"marginalized state lost positivity at step {k + 1} (eigenvalue {lo:.3g}); "
                 "reduce dt or kappa, or raise quad_order"
             )
-        out.append(DensityMatrix(rho))
+        # rho is its own Hermitian part bit for bit, so DensityMatrix may reuse lo
+        out.append(DensityMatrix(rho, _min_eigenvalue=lo))
     return out

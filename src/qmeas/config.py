@@ -51,7 +51,6 @@ SCENARIOS = (
 _ALL = frozenset(SCENARIOS)
 _MATRIX_SCENARIOS = frozenset({"lindblad", "chm", "sse-ensemble", "chain"})
 _DRIVEN_SCENARIOS = frozenset({"zeno", "rabi-monitor", "transition"})
-_GRID_SCENARIOS = (_MATRIX_SCENARIOS | _DRIVEN_SCENARIOS) - {"zeno", "chain"}
 
 
 def _convert(key: str, kind: type, text: str, line: int):
@@ -116,8 +115,8 @@ class RunConfig:
     # driven scenarios
     level_splitting: float = _key("model", _DRIVEN_SCENARIOS, 2.0, float, sign="positive")
     rabi: float = _key("model", _DRIVEN_SCENARIOS, 1.0, float)
-    # grid; zeno picks its grid per scan point and chains are discrete
-    t0: float = _key("grid", _GRID_SCENARIOS, 0.0, float)
+    # grid; chains are discrete and the driven scenarios start at t = 0
+    t0: float = _key("grid", _MATRIX_SCENARIOS - {"chain"}, 0.0, float)
     dt: float | None = _key(
         "grid",
         {

@@ -207,9 +207,13 @@ def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
 def double_commutator(a: HermitianOperator, rho: DensityMatrix) -> np.ndarray:
     """[A, [A, rho]] = A^2 rho - 2 A rho A + rho A^2 (Hermitian, traceless)."""
     _check_same_dim(a, rho)
-    am = a.entries
-    rm = rho.entries
-    return am @ (am @ rm) - 2.0 * (am @ rm @ am) + (rm @ am) @ am
+    return _double_commutator(a.entries, rho.entries)
+
+
+def _double_commutator(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """[a, [a, r]] of raw matrices, unchecked: the master equation's dissipator."""
+    ar = a @ r
+    return a @ ar - 2.0 * (ar @ a) + (r @ a) @ a
 
 
 # Two-level building blocks used across tests and presets.

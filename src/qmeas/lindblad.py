@@ -22,6 +22,7 @@ from .hilbert import (
     DensityMatrix,
     HermitianOperator,
     NonHermitianOperator,
+    _double_commutator,
     matrix_exponential,
 )
 from .readout import TimeGrid
@@ -67,9 +68,19 @@ def lindblad_rhs(model: MonitoringModel, rho: DensityMatrix) -> np.ndarray:
 
 
 def _rhs_raw(h: np.ndarray, a: np.ndarray, kappa: float, r: np.ndarray) -> np.ndarray:
-    ar = a @ r
-    dc = a @ ar - 2.0 * (ar @ a) + (r @ a) @ a
-    return -1j * (h @ r - r @ h) - 0.5 * kappa * dc
+    return -1j * (h @ r - r @ h) - 0.5 * kappa * _double_commutator(a, r)
+
+
+def _rk4(f, y: np.ndarray, dt: float, n_sub: int = 1) -> np.ndarray:
+    """n_sub classical RK4 steps of dt / n_sub for dy/dt = f(y), here and in :mod:`qmeas.chm`."""
+    h = dt / n_sub
+    for _ in range(n_sub):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def _settle(rho: np.ndarray, where: str, fix_non_finite: str, fix_drift: str) -> np.ndarray:
@@ -109,11 +120,7 @@ def integrate_lindblad(
     out = [rho0]
     unstable = f"dt={dt:.3g} is too large for kappa={kappa:.3g} (RK4 unstable)"
     for k in range(grid.n_steps):
-        k1 = _rhs_raw(h, a, kappa, rho)
-        k2 = _rhs_raw(h, a, kappa, rho + 0.5 * dt * k1)
-        k3 = _rhs_raw(h, a, kappa, rho + 0.5 * dt * k2)
-        k4 = _rhs_raw(h, a, kappa, rho + (dt * k3))
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = _rk4(lambda r: _rhs_raw(h, a, kappa, r), rho, dt)
         rho = _settle(rho, f"at step {k + 1}", unstable, "reduce dt")
         lo = float(np.min(np.linalg.eigvalsh(rho)))
         if lo < POSITIVITY_ABORT:
@@ -131,9 +138,10 @@ def integrate_lindblad(
 def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """State at time t from the exact propagator exp(L t) of the master equation.
 
-    L acts on row-major vec(rho), where vec(X rho Y) = (X kron Y^T) vec(rho):
-
-        L = -i (H x I - I x H^T) - (kappa/2) (A^2 x I - 2 A x A^T + I x (A^2)^T)
+    L acts on row-major vec(rho). Its column j is vec of the master-equation
+    right-hand side (the one :func:`lindblad_rhs` evaluates) at the basis
+    matrix whose row-major vec is the j-th unit vector, so L holds no formula
+    of its own.
 
     Meant for one final state at small dimension (d <= EXACT_MAX_DIM); longer
     histories and larger systems go through :func:`integrate_lindblad`. The
@@ -148,13 +156,9 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
             f"use integrate_lindblad above dim {EXACT_MAX_DIM}"
         )
     d = model.dim
-    h = model.H.entries
-    a = model.A.entries
-    a2 = a @ a
-    eye = np.eye(d)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) - 0.5 * model.kappa * (
-        np.kron(a2, eye) - 2.0 * np.kron(a, a.T) + np.kron(eye, a2.T)
-    )
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    cols = [_rhs_raw(model.H.entries, model.A.entries, model.kappa, e) for e in basis]
+    sup = np.array(cols).reshape(d * d, d * d).T
     prop = matrix_exponential(NonHermitianOperator(sup), t).entries
     rho = (prop @ rho0.entries.ravel()).reshape(d, d)
     fallback = "integrate with integrate_lindblad"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmeas import chm as chm_mod
 from qmeas.chm import (
     RESOLUTION_GUARD,
     SUBSTEP_TARGET,
@@ -262,7 +263,7 @@ class TestMergedRecordLoop:
                 return m
             return np.full(m.shape, bad_norm / np.sqrt(m.size), dtype=complex)
 
-        monkeypatch.setattr("qmeas.chm._rk4_matrix", rk4)
+        monkeypatch.setattr("qmeas.chm._rk4", rk4)
         model = MonitoringModel(pauli_x(), pauli_z(), 0.5)
         rec = constant_record(TimeGrid(0.0, 0.01, 10), 0.2)
         with pytest.raises(IntegrationError, match=message):
@@ -355,6 +356,38 @@ class TestExpmRouting:
         assert len(out) == len(ref) == n_steps + 1
         for x, y in zip(out, ref):
             assert x.entries.tobytes() == y.tobytes()
+
+
+class TestMarginalizedStates:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        n_steps=st.integers(1, 10),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reused_spectrum_builds_the_public_density_matrix(self, dim, seed, n_steps):
+        # each state reuses the positivity abort's eigenvalue; it must be the
+        # state and the eigenvalue that DensityMatrix(rho) computes
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        model = MonitoringModel(h, a, rng.uniform(0.1, 2.0))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        built = []
+
+        def recording(m, _min_eigenvalue=None):
+            built.append((m.copy(), _min_eigenvalue))
+            return DensityMatrix(m, _min_eigenvalue=_min_eigenvalue)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chm_mod, "DensityMatrix", recording)
+            grid = TimeGrid(0.0, rng.uniform(1e-3, 0.05), n_steps)
+            out = marginalize_readouts(model, DensityMatrix.from_state(psi0), grid)
+        assert len(built) == len(out) - 1 == n_steps
+        for (m, lo), state in zip(built, out[1:]):
+            public = DensityMatrix(m)
+            assert state.entries.tobytes() == public.entries.tobytes()
+            assert lo == float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
 
 
 class TestSlicedPropagator:

@@ -193,6 +193,14 @@ def test_zeno_rejects_model_kappa():
         parse_config("[run]\nscenario = zeno\n[model]\nrabi = 1.0\nkappa = 0.5\n")
     assert str(exc.value) == "line 5: key 'kappa' does not apply to scenario 'zeno'"
 
+
+@pytest.mark.parametrize("scenario", ["rabi-monitor", "transition"])
+def test_driven_runs_reject_grid_t0(scenario):
+    # both runs build their grid from t = 0; a t0 they would ignore is an error
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[run]\nscenario = {scenario}\n[grid]\ndt = 0.002\nt0 = 5.0\n")
+    assert str(exc.value) == f"line 5: key 't0' does not apply to scenario '{scenario}'"
+
 _DEFAULTS = {
     "seed": 0,
     "out": "",
@@ -263,13 +271,12 @@ RESOLVED_CONFIGS = [
     ),
     (
         "[run]\nscenario = transition\n[model]\nlevel_splitting = 1.5\nrabi = 0.5\nkappa = 2\n"
-        "[grid]\nt0 = 1\ndt = 0.002\nn_steps = 100\n[transition]\ninitial = excited\n"
+        "[grid]\ndt = 0.002\nn_steps = 100\n[transition]\ninitial = excited\n"
         "smoothing_window = 0.25\nthreshold_fraction = 0.3\n",
         {
             "kappa": 2.0,
             "level_splitting": 1.5,
             "rabi": 0.5,
-            "t0": 1.0,
             "dt": 0.002,
             "n_steps": 100,
             "smoothing_window": 0.25,
@@ -279,7 +286,7 @@ RESOLVED_CONFIGS = [
         {
             "run": {"scenario": "transition"},
             "model": {"level_splitting": "1.5", "rabi": "0.5", "kappa": "2"},
-            "grid": {"t0": "1", "dt": "0.002", "n_steps": "100"},
+            "grid": {"dt": "0.002", "n_steps": "100"},
             "transition": {
                 "initial": "excited",
                 "smoothing_window": "0.25",
