@@ -10,11 +10,13 @@ per-step Gaussian reference measure of :mod:`qmeas.readout`, is the
 probability density of the record. The same dynamics has a time-sliced
 product form, one contraction factor exp(-kappa*(A-a_k)^2*dt) and one
 unitary factor exp(-i*H*dt) per slice, which is the discrete chain of fuzzy
-measurements interleaved with free evolution. One record loop integrates the
-equation for every caller: ||A|| and ||H|| taken once per record set each
-slice's substep count, and the RK4 of :mod:`qmeas.lindblad` steps -i times
-:func:`effective_hamiltonian`. Integrating the sliced density matrix over all
-readouts recovers the nonselective master equation of :mod:`qmeas.lindblad`.
+measurements interleaved with free evolution. One record loop steps the
+renormalized state: ||A|| and ||H|| taken once per record set each slice's
+substep count, and the RK4 of :mod:`qmeas.lindblad` steps -i times
+:func:`effective_hamiltonian`. :func:`ode_propagator`, the product of
+exp(-i*H_eff*dt) over the slices, is the equation's exact solution.
+Integrating the sliced density matrix over all readouts recovers the
+nonselective master equation of :mod:`qmeas.lindblad`.
 The contraction factor, the completeness (generalized unitarity) check and
 the Gauss-Hermite readout integral live in :class:`qmeas.readout.FuzzySlice`,
 which the fuzzy chains of :mod:`qmeas.chain` share at dt = 1.
@@ -74,59 +76,48 @@ def effective_hamiltonian(model: MonitoringModel, a: float) -> NonHermitianOpera
 
 
 def _record_loop(
-    model: MonitoringModel,
-    record: ReadoutRecord,
-    start: np.ndarray,
-    log_norm: float,
-    *,
-    history: bool,
-    renormalize: bool,
-    min_substeps: int = 1,
+    model: MonitoringModel, record: ReadoutRecord, psi0: QuantumState, *, history: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 along a record, max(min_substeps, ceil(stiffness*dt/SUBSTEP_TARGET))
-    substeps per slice, stiffness = kappa*(||A|| + |a|)^2 + ||H||. ``start`` is
-    a state vector or a matrix. ``renormalize`` adds the resolution guard and,
-    per slice, the norm checks and the renormalization into ``log_norm``.
-    Returns (log_norms, states) over all n_steps + 1 nodes with ``history``,
-    else over the end node alone."""
-    if start.shape[0] != model.dim:
-        raise DimensionMismatchError(f"model dim {model.dim} != state dim {start.shape[0]}")
+    """RK4 along a record, ceil(stiffness*dt/SUBSTEP_TARGET) substeps per slice,
+    stiffness = kappa*(||A|| + |a|)^2 + ||H||, behind the resolution guard.
+    After every slice the norm is checked and folded into the log-norm, and
+    the state renormalized. Returns (log_norms, amplitudes) over all
+    n_steps + 1 nodes with ``history``, else over the end node alone."""
+    if psi0.dim != model.dim:
+        raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
     norm_a = model.A.spectral_norm()
     norm_h = model.H.spectral_norm()
     dt = record.grid.dt
     budget = model.kappa * (norm_a + float(np.max(np.abs(record.values)))) ** 2 * dt
-    if renormalize and budget > RESOLUTION_GUARD:
+    if budget > RESOLUTION_GUARD:
         raise ResolutionMismatchError(
             f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; the record "
             "grid is too coarse for this measurement strength, reduce the record dt or kappa"
         )
     rows = record.grid.n_steps + 1 if history else 1
     logs = np.empty(rows)
-    states = np.empty((rows, *start.shape), dtype=complex)
-    logs[0], states[0] = log_norm, start
-    m = start
+    states = np.empty((rows, model.dim), dtype=complex)
+    log_norm, psi = psi0.log_norm, psi0.amplitudes
+    logs[0], states[0] = log_norm, psi
     for k, a in enumerate(record.values):
         a = float(a)
         gen = -1j * effective_hamiltonian(model, a).entries
         stiffness = model.kappa * (norm_a + abs(a)) ** 2 + norm_h
-        n_sub = max(min_substeps, int(np.ceil(stiffness * dt / SUBSTEP_TARGET)))
-        m = _rk4(gen.__matmul__, m, dt, n_sub)
-        if renormalize:
-            n = float(np.linalg.norm(m))
-            if not np.isfinite(n) or n == 0.0:
-                raise IntegrationError(
-                    f"state norm lost at record step {k + 1}; reduce the record dt or kappa"
-                )
-            if n > 1.0 + 1e-6:
-                raise IntegrationError(
-                    f"norm grew by {n - 1.0:.3g} in record step {k + 1}; integration "
-                    "unstable, reduce the record dt or kappa"
-                )
-            log_norm += np.log(n)
-            m = m / n
-        if history:
-            logs[k + 1], states[k + 1] = log_norm, m
-    logs[-1], states[-1] = log_norm, m
+        psi = _rk4(gen.__matmul__, psi, dt, max(1, int(np.ceil(stiffness * dt / SUBSTEP_TARGET))))
+        n = float(np.linalg.norm(psi))
+        if not np.isfinite(n) or n == 0.0:
+            raise IntegrationError(
+                f"state norm lost at record step {k + 1}; reduce the record dt or kappa"
+            )
+        if n > 1.0 + 1e-6:
+            raise IntegrationError(
+                f"norm grew by {n - 1.0:.3g} in record step {k + 1}; integration "
+                "unstable, reduce the record dt or kappa"
+            )
+        log_norm += np.log(n)
+        psi = psi / n
+        row = k + 1 if history else 0
+        logs[row], states[row] = log_norm, psi
     return logs, states
 
 
@@ -141,9 +132,7 @@ def propagate_chm(
     renormalized after every slice with the norm folded into log_norm; the
     returned log-density is 2*log_norm + reference_log_weight(record, kappa).
     """
-    logs, amps = _record_loop(
-        model, record, psi0.amplitudes, psi0.log_norm, history=False, renormalize=True
-    )
+    logs, amps = _record_loop(model, record, psi0, history=False)
     state = QuantumState(amps[-1], logs[-1])
     density = ReadoutDensity(2.0 * logs[-1] + reference_log_weight(record, model.kappa))
     return state, density
@@ -154,24 +143,31 @@ def propagate_chm_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`propagate_chm` but returning the full per-step history:
     (log_norms, amplitudes) arrays of shapes (n_steps+1,) and (n_steps+1, dim)."""
-    return _record_loop(
-        model, record, psi0.amplitudes, psi0.log_norm, history=True, renormalize=True
-    )
+    return _record_loop(model, record, psi0, history=True)
 
 
-def ode_propagator(model: MonitoringModel, record: ReadoutRecord, substeps: int = 1) -> np.ndarray:
-    """Propagator matrix of the monitoring ODE along a record, by the same
-    per-slice RK4 loop as :func:`propagate_chm` applied to the identity
-    (no renormalization, no resolution guard).
+def _slice_product(dim: int, record: ReadoutRecord, factor) -> np.ndarray:
+    """Product of factor(a_k) over the record slices, the latest leftmost;
+    one factor is computed per distinct record value."""
+    prod = np.eye(dim, dtype=complex)
+    cache: dict[float, np.ndarray] = {}
+    for a in record.values.tolist():
+        if a not in cache:
+            cache[a] = factor(a)
+        prod = cache[a] @ prod
+    return prod
 
-    ``substeps`` forces at least that many RK4 substeps per slice; it serves
-    as the reference against which the sliced product form converges.
-    """
-    start = np.eye(model.dim, dtype=complex)
-    _, m = _record_loop(
-        model, record, start, 0.0, history=False, renormalize=False, min_substeps=max(substeps, 1)
-    )
-    return m[-1]
+
+def ode_propagator(model: MonitoringModel, record: ReadoutRecord) -> np.ndarray:
+    """Exact propagator matrix of the monitoring equation along a record,
+    which is constant on each slice: the product of exp(-i*H_eff(a_k)*dt),
+    H_eff the :func:`effective_hamiltonian`."""
+
+    def factor(a: float) -> np.ndarray:
+        gen = -1j * effective_hamiltonian(model, a).entries
+        return matrix_exponential(NonHermitianOperator(gen), record.grid.dt).entries
+
+    return _slice_product(model.dim, record, factor)
 
 
 def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialPropagator:
@@ -179,19 +175,13 @@ def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialP
 
     Each slice contributes exp(-i*H*dt) * exp(-kappa*(A-a_k)^2*dt), the
     unitary factor acting after the measurement factor. For [H, A] = 0 the
-    product equals the exact ODE propagator; otherwise it converges to it at
+    product equals :func:`ode_propagator`; otherwise it converges to it at
     first order in dt.
     """
     dt = record.grid.dt
     u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
     kernel = FuzzySlice(model.A, model.kappa, dt)
-    prod = np.eye(model.dim, dtype=complex)
-    # measurement factor diagonalizes in the A eigenbasis; cache per distinct value
-    cache: dict[float, np.ndarray] = {}
-    for a in record.values.tolist():
-        if a not in cache:
-            cache[a] = u @ kernel.operator(a)
-        prod = cache[a] @ prod
+    prod = _slice_product(model.dim, record, lambda a: u @ kernel.operator(a))
     return PartialPropagator(NonHermitianOperator(prod), record)
 
 

@@ -177,7 +177,7 @@ def _run_zeno(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     return {
         "kappa_values": list(scan.kappa_values),
         "transfer_probabilities": list(scan.transfer_probabilities),
-        "monotone_non_increasing": bool(np.all(np.diff(scan.transfer_probabilities) <= 1e-12)),
+        "monotone_non_increasing": scan.monotone_non_increasing(),
     }
 
 
@@ -194,13 +194,12 @@ def _run_rabi(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     )
     _write_csv(out / "record.csv", ["t", "a"], [traj.grid.midpoints(), traj.record.values])
     _write_csv(out / "spectrum.csv", ["frequency", "power"], [spectrum])
-    soft = cfg.kappa * cfg.level_splitting**2 < cfg.rabi
     return {
         "peak_frequency": stats.peak_frequency,
         "offset_bins": stats.offset_bins,
         "power_ratio": stats.power_ratio,
         "detected": stats.detected,
-        "soft_regime": bool(soft),
+        "soft_regime": system.soft_regime(),
     }
 
 

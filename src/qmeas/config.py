@@ -155,9 +155,9 @@ class RunConfig:
     collapse_threshold: float = _key("chain", {"chain"}, 1e-4, float, sign="positive")
     search_bins: int = _key("rabi", {"rabi-monitor"}, 8, int, sign="positive")
     band_bins: int = _key("rabi", {"rabi-monitor"}, 25, int, sign="positive")
-    max_offset_bins: int = _key("rabi", {"rabi-monitor"}, 2, int)
+    max_offset_bins: int = _key("rabi", {"rabi-monitor"}, 2, int, sign="non-negative")
     smoothing_window: float | None = _key("transition", {"transition"}, None, float, "positive")
-    threshold_fraction: float = _key("transition", {"transition"}, 0.25, float)
+    threshold_fraction: float = _key("transition", {"transition"}, 0.25, float, "non-negative")
     initial: str = _key("transition", {"transition"}, "ground")
     raw: dict[str, dict[str, str]] = field(default_factory=dict, repr=False)
 
@@ -339,6 +339,9 @@ def parse_config(text: str) -> RunConfig:
         for key, (no, _) in kv.items():
             if scen not in KEYS[section, key].metadata["scenarios"]:
                 raise ConfigError(f"key {key!r} does not apply to scenario {scen!r}", no)
+            if section == "grid" and "record_file" in entries.get("chm", {}):
+                why = "the record's t column sets the grid"
+                raise ConfigError(f"key {key!r} does not apply with record_file: {why}", no)
 
     values = {}
     for (section, key), f in KEYS.items():

@@ -67,6 +67,10 @@ class DrivenTwoLevel:
 
     lindblad_model = monitoring_model
 
+    def soft_regime(self) -> bool:
+        """kappa * splitting^2 < rabi: the record follows the Rabi oscillation."""
+        return self.kappa * self.level_splitting**2 < self.rabi
+
     def dephasing_rate(self) -> float:
         """Coherence decay rate (kappa/2) * splitting^2 of the energy basis."""
         return 0.5 * self.kappa * self.level_splitting**2
@@ -99,6 +103,10 @@ class ZenoScanResult:
             raise ValidationError("scan result vectors must have equal length")
         if np.any((p < 0) | (p > 1)):
             raise ValidationError("transfer probabilities must lie in [0, 1]")
+
+    def monotone_non_increasing(self) -> bool:
+        """The transfer never rises with kappa (up to 1e-12)."""
+        return bool(np.all(np.diff(self.transfer_probabilities) <= 1e-12))
 
 
 def _scan_grid(system: DrivenTwoLevel, t_final: float) -> TimeGrid:
@@ -218,13 +226,20 @@ def analyze_rabi_line(
     )
 
 
-def _warn_if_not_soft(system: DrivenTwoLevel):
-    if system.kappa * system.level_splitting**2 >= system.rabi:
+def _driven_trajectory(
+    system: DrivenTwoLevel, t_final: float, dt: float, seed: int, initial
+) -> SseTrajectory:
+    """A monitored trajectory of round(t_final/dt) steps from t = 0 and the
+    ground state unless ``initial`` is given; warns outside the soft regime."""
+    if not system.soft_regime():
         warnings.warn(
             "kappa * splitting^2 >= rabi: outside the soft-measurement regime",
             RuntimeWarning,
             stacklevel=3,
         )
+    grid = TimeGrid(t0=0.0, dt=dt, n_steps=max(1, int(round(t_final / dt))))
+    psi0 = system.ground_state() if initial is None else initial
+    return simulate_trajectory(system.monitoring_model(), psi0, grid, seed)
 
 
 def run_rabi_monitor(
@@ -237,11 +252,7 @@ def run_rabi_monitor(
     and the spectrum shows a line at the Rabi frequency; outside the regime a
     warning is emitted and the line is typically absent (frozen dynamics).
     """
-    _warn_if_not_soft(system)
-    n = max(1, int(round(t_final / dt)))
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n)
-    psi0 = system.ground_state() if initial is None else initial
-    traj = simulate_trajectory(system.monitoring_model(), psi0, grid, seed)
+    traj = _driven_trajectory(system, t_final, dt, seed, initial)
     spectrum = periodogram(traj.record.values, dt)
     return traj, spectrum
 
@@ -306,17 +317,13 @@ def run_transition_monitor(
     Absence of detections is a valid outcome. Starts from the ground state
     unless ``initial`` is given.
     """
-    _warn_if_not_soft(system)
-    n = max(1, int(round(t_final / dt)))
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=n)
-    psi0 = system.ground_state() if initial is None else initial
-    traj = simulate_trajectory(system.monitoring_model(), psi0, grid, seed)
+    traj = _driven_trajectory(system, t_final, dt, seed, initial)
     if smoothing_window is None:
         smoothing_window = 1.0 / (2.0 * system.rabi) if system.rabi > 0 else t_final / 20.0
     window = max(1, int(round(smoothing_window / dt)))
     smoothed = moving_average(traj.record.values, window)
     threshold = threshold_fraction * system.level_splitting
-    times = grid.midpoints()
+    times = traj.grid.midpoints()
     # detect only where the average spans a full window; the shrunken edge
     # windows are noisier and would inflate the false-positive rate
     half = window // 2

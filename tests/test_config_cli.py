@@ -130,6 +130,22 @@ INVALID_CONFIGS = [
         4,
         "initial must be 'ground' or 'excited'",
     ),
+    (
+        "[run]\nscenario = chm\n[grid]\nt0 = 7\ndt = 0.5\nn_steps = 99\n"
+        "[chm]\nrecord_file = r.csv\n",
+        4,
+        "key 't0' does not apply with record_file: the record's t column sets the grid",
+    ),
+    (
+        "[run]\nscenario = transition\n[transition]\nthreshold_fraction = -0.25\n",
+        4,
+        "threshold_fraction must be non-negative",
+    ),
+    (
+        "[run]\nscenario = rabi-monitor\n[rabi]\nmax_offset_bins = -1\n",
+        4,
+        "max_offset_bins must be non-negative",
+    ),
 ]
 
 
@@ -409,6 +425,15 @@ class TestDispatch:
         lines = (out / "selective_run.csv").read_text().splitlines()
         assert lines[0].startswith("t,a,log_norm")
         assert len(lines) == 5  # header + 4 grid nodes
+
+    def test_chm_record_file_with_grid_exit_code(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        rec_path.write_text("t,a\n0.05,1\n0.15,0.5\n", encoding="utf-8")
+        text = f"[run]\nscenario = chm\n[chm]\nrecord_file = {rec_path}\n[grid]\ndt = 0.5\n"
+        rc, out = run_cli(tmp_path, "chm_grid", text)
+        assert rc == 1
+        assert not out.exists()
+        assert "line 6: key 'dt' does not apply with record_file" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
