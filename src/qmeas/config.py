@@ -114,7 +114,7 @@ class RunConfig:
     psi0: QuantumState | None = _key("model", _MATRIX_SCENARIOS, kind=None)
     # driven scenarios
     level_splitting: float = _key("model", _DRIVEN_SCENARIOS, 2.0, float, sign="positive")
-    rabi: float = _key("model", _DRIVEN_SCENARIOS, 1.0, float)
+    rabi: float = _key("model", _DRIVEN_SCENARIOS, 1.0, float, sign="non-negative")
     # grid; chains are discrete and the driven scenarios start at t = 0
     t0: float = _key("grid", _MATRIX_SCENARIOS - {"chain"}, 0.0, float)
     dt: float | None = _key(
@@ -335,13 +335,14 @@ def parse_config(text: str) -> RunConfig:
     if scen not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scen!r} (choose from {', '.join(SCENARIOS)})", line)
 
+    record_file = "record_file" in entries.get("chm", {})
     for section, kv in entries.items():
         for key, (no, _) in kv.items():
             if scen not in KEYS[section, key].metadata["scenarios"]:
                 raise ConfigError(f"key {key!r} does not apply to scenario {scen!r}", no)
-            if section == "grid" and "record_file" in entries.get("chm", {}):
-                why = "the record's t column sets the grid"
-                raise ConfigError(f"key {key!r} does not apply with record_file: {why}", no)
+            if record_file and (section == "grid" or key == "record_value"):
+                why = "t column sets the grid" if section == "grid" else "a column sets the readouts"
+                raise ConfigError(f"key {key!r} does not apply with record_file: the record's {why}", no)
 
     values = {}
     for (section, key), f in KEYS.items():

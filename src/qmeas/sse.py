@@ -32,11 +32,15 @@ in one time loop, and the per-chunk sums are still reduced in chunk order.
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
 checks for non-finite or zero states once per block of Wiener increments.
+Inside the time loop the states are d-major, shape (d, batch), so each
+elementwise operation runs one contiguous loop along the batch; the history
+of a trajectory run is stored (n+1, d, batch) and returned (batch, n+1, d).
 A sum over the state index of fewer than eight scalars (a complex counts as
 two) is kept with that index outermost in memory: numpy adds it left to right
 from +0.0 in either layout, so the bits are those of a contiguous last axis
-while the reduce runs over long rows. Longer sums keep the C layout, the only
-one that gives numpy's pairwise order (see _step_kernel).
+while the reduce runs over long rows. Longer sums keep the summed index as
+the contiguous last axis, the only layout that gives numpy's pairwise order
+(see _step_kernel).
 """
 
 from __future__ import annotations
@@ -101,79 +105,105 @@ def _guard(model: MonitoringModel, dt: float):
         )
 
 
+def _outermost(n: int, dtype) -> bool:
+    """Whether a sum of n terms of ``dtype`` keeps its summed index outermost
+    in memory: below PAIRWISE_BLOCK scalars, a complex counting as two."""
+    return n * np.dtype(dtype).itemsize // 8 < PAIRWISE_BLOCK
+
+
 def _summands(shape: tuple[int, ...], dtype) -> np.ndarray:
     """Scratch for terms summed over its last axis: that axis outermost in
-    memory below PAIRWISE_BLOCK scalars, else the C layout (see _step_kernel)."""
-    n = shape[-1]
-    if n * np.dtype(dtype).itemsize // 8 < PAIRWISE_BLOCK:
-        return np.moveaxis(np.empty((n, *shape[:-1]), dtype), 0, -1)
+    memory when ``_outermost``, else the C layout (see _step_kernel)."""
+    if _outermost(shape[-1], dtype):
+        return np.moveaxis(np.empty((shape[-1], *shape[:-1]), dtype), 0, -1)
     return np.empty(shape, dtype)
+
+
+def _noise(kappa: float, dw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(kappa) dw, the noise amplitude of the step, for any array of
+    Wiener increments."""
+    return np.multiply(np.sqrt(kappa), dw, out=out)
 
 
 def _step_kernel(h: np.ndarray, a: np.ndarray, kappa: float, dt: float, batch: int):
     """The Euler-Maruyama step for ``batch`` states in scratch arrays made
-    once: ``step(psi, dw, out, exp_a, norm)`` writes the normalized states to
-    ``out``, the pre-step <A> to ``exp_a`` and the norms before normalization
-    to ``norm``; callers run it under ``np.errstate`` and pass the norms to
-    ``_check_norms``. Each operation is an elementwise ufunc or a reduce over
-    a fixed axis, in the order of psi + dt (-i H psi - (kappa/2) B^2 psi) +
-    sqrt(kappa) dw B psi with B = A - <A>, so a state's bits do not depend on
-    its batch. H psi and A psi come from one multiply-and-reduce over [A; H].
+    once. States are d-major, shape (d, batch): ``step(psi, noise, out, exp_a,
+    norm)`` takes the states and the noise ``_noise(kappa, dw)`` (batch,) of
+    one step, writes the normalized states to ``out``, the pre-step <A> to
+    ``exp_a`` and the norms before normalization to ``norm``; callers run it
+    under ``np.errstate`` and pass the norms to ``_check_norms``. Each
+    operation is an elementwise ufunc or a reduce over a fixed axis, in the
+    order of psi + dt (-i H psi - (kappa/2) B^2 psi) + sqrt(kappa) dw B psi
+    with B = A - <A>, so a state's bits do not depend on its batch. H psi and
+    A psi come from one multiply-and-reduce over [A; H].
+
+    The elementwise ufuncs on (d, batch) arrays run one contiguous loop along
+    the batch. <A>, the noise and the norms, (batch,) rows, enter them as
+    (d, batch) complex copies with imaginary part +0.0, and the scalars as
+    complex 0-d arrays made once: these are the operands numpy casts a real
+    row or a Python scalar to, so the bits are the same, without a cast or a
+    broadcast in the loop.
 
     The terms of each sum over the state index sit in ``_summands`` scratch.
     For complex d <= 3 and real d <= 7 numpy adds them left to right from
     +0.0, signed zeros included, in either layout, and the summed index is
     laid out outermost: the reduce then adds whole rows of the batch instead
     of running one d-long loop per sum, with the same bits. Larger d keep
-    the C layout, since only a contiguous last axis gives numpy's pairwise
-    order; the layout is fixed by d here, not a tuning choice.
+    the summed index as the contiguous last axis, the only layout that gives
+    numpy's pairwise order; the layout is fixed by d here, not a tuning
+    choice.
     """
     d = len(a)
-    ah = np.concatenate([a, h])[None]
-    a3 = ah[:, :d]
-    half_kappa, sqrt_kappa = 0.5 * kappa, np.sqrt(kappa)
-    prod, prod_a = _summands((batch, 2 * d, d), complex), _summands((batch, d, d), complex)
+    ah = np.concatenate([a, h])
+    half_kappa, dt, minus_i = np.array(0.5 * kappa, complex), np.array(dt, complex), np.array(-1j)
+    prod, prod_a = _summands((2 * d, batch, d), complex), _summands((d, batch, d), complex)
     terms = _summands((batch, d), complex)  # conj(psi) A psi, summed into <A>
-    ahpsi = np.empty((batch, 2 * d), complex)
-    apsi, hpsi = ahpsi[:, :d], ahpsi[:, d:]
-    t1, t2, bpsi = (np.empty((batch, d), complex) for _ in range(3))
-    c, noise, sq = np.empty(batch, complex), np.empty(batch), _summands((batch, d), float)
-    c_real, exp_col = c.real, c.real[:, None]
+    ahpsi = np.empty((2 * d, batch), complex)
+    apsi, hpsi = ahpsi[:d], ahpsi[d:]
+    t1, t2, bpsi = (np.empty((d, batch), complex) for _ in range(3))
+    c, sq = np.empty(batch, complex), _summands((batch, d), float)
+    # <A>, the noise and the norms as complex (d, batch) copies, imaginary part +0.0
+    exp_d, noise_d, norm_d = (np.zeros((d, batch), complex) for _ in range(3))
+    c_real, exp_re, noise_re, norm_re = c.real, exp_d.real, noise_d.real, norm_d.real
     mul, add, sub, add_reduce = np.multiply, np.add, np.subtract, np.add.reduce
-    # The operands of the ufuncs that write _summands scratch, indexed by the
-    # summed index first: numpy loops over the views' last axis unless all
-    # operands agree on another order, so the loop runs along the batch (or
-    # [A; H] rows) and not along the d-long index. Elementwise, so same bits.
-    ah_k, a3_k = np.moveaxis(ah, -1, 0), np.moveaxis(a3, -1, 0)
-    prod_k, prod_a_k = np.moveaxis(prod, -1, 0), np.moveaxis(prod_a, -1, 0)
-    terms_k, apsi_k, bpsi_k, t1_k, sq_k = terms.T, apsi.T, bpsi.T[:, :, None], t1.T, sq.T
+    # The matrix-vector products write their (row, batch, summed index) terms
+    # through views in the scratch's memory order, the summed index first when
+    # it is outermost: numpy loops over the views' last axis unless all
+    # operands agree on another order, so the loop runs along the batch, or
+    # along the summed index where that is the contiguous axis. Elementwise,
+    # so the same bits.
+    order = (2, 0, 1) if _outermost(d, complex) else (0, 1, 2)
+    ah_w, a_w = ah[:, None].transpose(order), ah[:d, None].transpose(order)
+    prod_w, prod_a_w = prod.transpose(order), prod_a.transpose(order)
+    bpsi_w, terms_k, sq_k = bpsi.T[None].transpose(order), terms.T, sq.T
 
-    def step(psi, dw, out, exp_a, norm):
-        psi_k = psi.T
-        mul(ah_k, psi_k[:, :, None], out=prod_k)
+    def step(psi, noise, out, exp_a, norm):
+        mul(ah_w, psi.T[None].transpose(order), out=prod_w)
         add_reduce(prod, axis=2, out=ahpsi)
-        np.conjugate(psi_k, out=terms_k)
-        mul(terms_k, apsi_k, out=terms_k)
+        np.conjugate(psi, out=terms_k)
+        mul(terms_k, apsi, out=terms_k)
         add_reduce(terms, axis=1, out=c)
-        mul(exp_col, psi, out=t1)
+        exp_re[...] = c_real
+        mul(exp_d, psi, out=t1)
         sub(apsi, t1, out=bpsi)
-        mul(a3_k, bpsi_k, out=prod_a_k)
+        mul(a_w, bpsi_w, out=prod_a_w)
         add_reduce(prod_a, axis=2, out=t2)
-        mul(exp_col, bpsi, out=t1)
+        mul(exp_d, bpsi, out=t1)
         sub(t2, t1, out=t2)
-        mul(-1j, hpsi, out=t1)
+        mul(minus_i, hpsi, out=t1)
         mul(half_kappa, t2, out=t2)
         sub(t1, t2, out=t1)
         mul(dt, t1, out=t1)
         add(psi, t1, out=t1)
-        mul(sqrt_kappa, dw, out=noise)
-        mul(noise[:, None], bpsi, out=t2)
+        noise_re[...] = noise
+        mul(noise_d, bpsi, out=t2)
         add(t1, t2, out=t1)
-        np.abs(t1_k, out=sq_k)
-        np.square(sq, out=sq)
+        np.abs(t1, out=sq_k)
+        np.square(sq_k, out=sq_k)
         add_reduce(sq, axis=1, out=norm)
         np.sqrt(norm, out=norm)
-        np.divide(t1, norm[:, None], out=out)
+        norm_re[...] = norm
+        np.divide(t1, norm_d, out=out)
         exp_a[...] = c_real
 
     return step
@@ -187,11 +217,11 @@ def _check_norms(norms: np.ndarray):
 def _step_batch(
     h: np.ndarray, a: np.ndarray, kappa: float, psi: np.ndarray, dw: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler-Maruyama step for a batch of states; returns (new states,
-    pre-step <A> values)."""
+    """One Euler-Maruyama step for a batch of states (batch, d); returns (new
+    states (batch, d), pre-step <A> values)."""
     out, exp_a, norms = np.empty(psi.shape, complex), np.empty(len(psi)), np.empty(len(psi))
     with np.errstate(all="ignore"):
-        _step_kernel(h, a, kappa, dt, len(psi))(psi, dw, out, exp_a, norms)
+        _step_kernel(h, a, kappa, dt, len(psi))(psi.T, _noise(kappa, dw), out.T, exp_a, norms)
     _check_norms(norms)
     return out, exp_a
 
@@ -238,7 +268,8 @@ def _run_batch(
     ensemble share: no history, record sums per chunk of CHUNK seeds (chunks,
     n), and projector sums per chunk at ``grid.stored_nodes(store_every)``
     (chunks, nodes, dim, dim). A chunk's sums add its trajectories in seed
-    order, so they are the same bits in any batch.
+    order, so they are the same bits in any batch. The time loop steps d-major
+    states (dim, batch) and gives _projectors a C-contiguous (batch, dim) copy.
     """
     b = len(seeds)
     d = model.dim
@@ -246,16 +277,16 @@ def _run_batch(
     dt = grid.dt
     n_chunks = -(-b // CHUNK)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
-    psi, spare = np.tile(psi0.amplitudes, (b, 1)), np.empty((b, d), complex)
+    psi, spare = np.repeat(psi0.amplitudes[:, None], b, axis=1), np.empty((d, b), complex)
     if store_every is None:
         nodes, sums = [], None
         # time-major, so each step writes its states to one contiguous row
-        hist, recs = np.empty((n + 1, b, d), dtype=complex), np.empty((b, n))
+        hist, recs = np.empty((n + 1, d, b), dtype=complex), np.empty((b, n))
         hist[0] = psi
     else:
         nodes, hist, recs = grid.stored_nodes(store_every), None, np.empty((n_chunks, n))
         sums = np.empty((n_chunks, len(nodes), d, d), dtype=complex)
-        _by_chunk(psi, _projectors, sums[:, 0])
+        _by_chunk(psi.T.copy(), _projectors, sums[:, 0])
     # the next kept node and its row of sums; past the grid when none is left
     pending = iter(enumerate(nodes[1:], start=1))
     row, next_node = next(pending, (0, n + 1))
@@ -265,25 +296,33 @@ def _run_batch(
     # (rows, 1) array pairwise, but wider ones row by row, as one long run does.
     n_blocks = -(-n // BLOCK)
     cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
+    size = -(-n // n_blocks)  # the longest block; its buffers are made once
+    draws, noises, exps, norms = np.empty((b, size)), *(np.empty((size, b)) for _ in range(3))
     for start, stop in zip(cuts, cuts[1:]):
         m = stop - start
-        dws = np.stack([gen.standard_normal(m) for gen in gens]) * np.sqrt(dt)
-        exps, norms = np.empty((b, m)), np.empty((b, m))
+        dws = draws[:, :m]
+        for gen, dw in zip(gens, dws):
+            dw[...] = gen.standard_normal(m)
+        dws *= np.sqrt(dt)
+        block = recs[:, start:stop] if hist is not None else np.empty((b, m))
+        np.multiply(dws, rec_scale, out=block)
+        noise = _noise(model.kappa, dws.T, noises[:m])
         with np.errstate(all="ignore"):
             for k in range(m):
                 node = start + k + 1
                 out = hist[node] if hist is not None else spare
-                step(psi, dws[:, k], out, exps[:, k], norms[:, k])
+                step(psi, noise[k], out, exps[k], norms[k])
                 psi, spare = out, psi
                 if node == next_node:
-                    _by_chunk(psi, _projectors, sums[:, row])
+                    _by_chunk(psi.T.copy(), _projectors, sums[:, row])
                     row, next_node = next(pending, (0, n + 1))
-        _check_norms(norms)
-        block = recs[:, start:stop] if hist is not None else np.empty((b, m))
-        np.add(exps, dws * rec_scale, out=block)
+        _check_norms(norms[:m])
+        np.add(exps[:m].T, block, out=block)
         if hist is None:
             _by_chunk(block, lambda g: g.sum(axis=1), recs[:, start:stop])
-    return None if hist is None else hist.transpose(1, 0, 2), recs, sums
+    if hist is not None:  # the (batch, n+1, d) C layout callers read; no copy at batch 1
+        hist = np.ascontiguousarray(hist.transpose(2, 0, 1))
+    return hist, recs, sums
 
 
 def simulate_trajectory(

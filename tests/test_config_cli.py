@@ -146,6 +146,17 @@ INVALID_CONFIGS = [
         4,
         "max_offset_bins must be non-negative",
     ),
+    (
+        "[run]\nscenario = chm\n[chm]\nrecord_value = -3\nrecord_file = r.csv\n",
+        4,
+        "key 'record_value' does not apply with record_file: the record's a column sets the readouts",
+    ),
+    (
+        "[run]\nscenario = chm\n[chm]\nrecord_file = r.csv\nrecord_value = -3\n",
+        5,
+        "key 'record_value' does not apply with record_file: the record's a column sets the readouts",
+    ),
+    ("[run]\nscenario = rabi-monitor\n[model]\nrabi = -1\n", 4, "rabi must be non-negative"),
 ]
 
 
@@ -434,6 +445,22 @@ class TestDispatch:
         assert rc == 1
         assert not out.exists()
         assert "line 6: key 'dt' does not apply with record_file" in capsys.readouterr().err
+
+    def test_chm_record_file_with_record_value_exit_code(self, tmp_path, capsys):
+        rec_path = tmp_path / "rec.csv"
+        rec_path.write_text("t,a\n0.05,1\n0.15,0.5\n", encoding="utf-8")
+        text = f"[run]\nscenario = chm\n[chm]\nrecord_file = {rec_path}\nrecord_value = -3\n"
+        rc, out = run_cli(tmp_path, "chm_value", text)
+        assert rc == 1
+        assert not out.exists()
+        assert "line 5: key 'record_value' does not apply with record_file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["zeno", "rabi-monitor", "transition"])
+    def test_negative_rabi_exit_code(self, tmp_path, capsys, scenario):
+        rc, out = run_cli(tmp_path, scenario, f"[run]\nscenario = {scenario}\n[model]\nrabi = -1\n")
+        assert rc == 1
+        assert not out.exists()
+        assert "line 4: rabi must be non-negative" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -22,6 +22,7 @@ from qmeas.lindblad import LindbladModel, integrate_lindblad
 from qmeas.readout import TimeGrid
 from qmeas.sse import (
     _chunk_task,
+    _noise,
     _run_batch,
     _step_batch,
     _step_kernel,
@@ -382,6 +383,30 @@ class TestAgainstPerChunkReference:
         ref_out, ref_exp = _reference_step(h.entries, a, kappa, psi, dw, grid.dt)
         assert _same_bits(out, ref_out) and _same_bits(exp_a, ref_exp)
 
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([2, 3, 65]),
+        n_steps=st.sampled_from([1, 2, 257]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_batch_history_is_each_seeds_trajectory(self, dim, seed, batch, n_steps):
+        # d-major states step every trajectory of the batch with the bits it
+        # has alone, in the (batch, n+1, d) history and in the records
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        model = MonitoringModel(h, a, rng.uniform(0.1, 2.0))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        grid = TimeGrid(0.0, 1e-3, n_steps)
+        seeds = range(seed % 1000, seed % 1000 + batch)
+        hist, recs, _ = _run_batch(model, psi0, grid, seeds)
+        assert hist.shape == (batch, n_steps + 1, dim) and hist.flags.c_contiguous
+        for i, s in enumerate(seeds):
+            solo = simulate_trajectory(model, psi0, grid, s)
+            assert _same_bits(hist[i], solo.amplitudes), s
+            assert _same_bits(recs[i], solo.record.values), s
+
 
 def _with_zeros(rng, shape) -> np.ndarray:
     """Complex entries of which about a third of the real and of the
@@ -423,9 +448,10 @@ class TestKernelSignedZeros:
         dw = rng.standard_normal(batch) * np.sqrt(1e-3)
         dw[rng.random(batch) < 0.3] = rng.choice([0.0, -0.0])
         kappa = rng.uniform(0.1, 2.0)
-        out, exp_a, norms = np.empty((batch, dim), complex), np.empty(batch), np.empty(batch)
+        out, exp_a, norms = np.empty((dim, batch), complex), np.empty(batch), np.empty(batch)
         with np.errstate(all="ignore"):
-            _step_kernel(h, a, kappa, 1e-3, batch)(psi, dw, out, exp_a, norms)
+            _step_kernel(h, a, kappa, 1e-3, batch)(psi.T, _noise(kappa, dw), out, exp_a, norms)
+            out = out.T
             raw, ref_norms, ref_exp = _reference_raw(h, a, kappa, psi, dw, 1e-3)
             ref_out = raw / ref_norms[:, None]
         assert _same_bits(out, ref_out)
