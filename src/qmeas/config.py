@@ -80,10 +80,12 @@ def _key(section, scenarios, default=None, kind=str, sign=None, name=None):
     ``scenarios`` is the set of scenarios the key applies to, or a dict that
     maps each of them to its own default; ``default`` covers the rest. ``kind``
     is the type the text converts to (see _convert), None for the keys that
-    the [model] code reads itself. ``sign`` is "positive" or "non-negative".
+    the [model] code reads itself. ``sign`` is "positive" or "non-negative",
+    or a dict that maps each scenario to one of them.
     """
-    meta = {"section": section, "name": name, "kind": kind, "sign": sign}
+    meta = {"section": section, "name": name, "kind": kind}
     meta["scenarios"] = set(scenarios)
+    meta["sign"] = sign if isinstance(sign, dict) else dict.fromkeys(scenarios, sign)
     meta["defaults"] = scenarios if isinstance(scenarios, dict) else {}
     return field(default=default, metadata=meta)
 
@@ -114,7 +116,15 @@ class RunConfig:
     psi0: QuantumState | None = _key("model", _MATRIX_SCENARIOS, kind=None)
     # driven scenarios
     level_splitting: float = _key("model", _DRIVEN_SCENARIOS, 2.0, float, sign="positive")
-    rabi: float = _key("model", _DRIVEN_SCENARIOS, 1.0, float, sign="non-negative")
+    # the zeno scan ends at the flip time pi/rabi and the Rabi monitor looks
+    # for a line at rabi; an undriven transition monitor still runs
+    rabi: float = _key(
+        "model",
+        _DRIVEN_SCENARIOS,
+        1.0,
+        float,
+        sign={"zeno": "positive", "rabi-monitor": "positive", "transition": "non-negative"},
+    )
     # grid; chains are discrete and the driven scenarios start at t = 0
     t0: float = _key("grid", _MATRIX_SCENARIOS - {"chain"}, 0.0, float)
     dt: float | None = _key(
@@ -354,8 +364,9 @@ def parse_config(text: str) -> RunConfig:
             continue
         no, value = entries[section][key]
         v = _convert(key, meta["kind"], value, no)
-        if meta["sign"] == "positive" and v <= 0 or meta["sign"] == "non-negative" and v < 0:
-            raise ConfigError(f"{key} must be {meta['sign']}", no)
+        sign = meta["sign"][scen]
+        if sign == "positive" and v <= 0 or sign == "non-negative" and v < 0:
+            raise ConfigError(f"{key} must be {sign}", no)
         values[f.name] = v
 
     raw = {s: {k: v for k, (_, v) in kv.items()} for s, kv in entries.items()}

@@ -34,7 +34,7 @@ from .hilbert import (
 )
 from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
-from .sse import SseTrajectory, ensemble_accumulate, mean_density, simulate_trajectory
+from .sse import SseTrajectory, ensemble_sums, mean_density, simulate_trajectory
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,11 @@ def run_zeno_scan(
 
     For each kappa the master equation is solved from the ground state with
     the drive on and the energy monitored, by its exact propagator; with
-    n_traj > 0 a stochastic ensemble is run alongside (on ``workers``
-    processes; the result does not depend on their number) and its agreement
-    with the master equation is reported as a trace distance.
+    n_traj > 0 a stochastic ensemble is run alongside and its agreement with
+    the master equation is reported as a trace distance. The ensembles of all
+    kappa run on one pool of ``workers`` processes (sse.ensemble_sums), each
+    kappa's share of the workers in proportion to its step count, the longest
+    grid first; the result does not depend on the worker count.
     """
     kappas = np.asarray(list(kappa_list), dtype=float)
     if kappas.size == 0 or np.any(kappas <= 0):
@@ -141,22 +143,19 @@ def run_zeno_scan(
     if system.rabi <= 0:
         raise ValidationError("zeno scan needs a positive Rabi frequency")
     t_flip = np.pi / system.rabi
-    transfers = np.empty(kappas.size)
-    distances = np.full(kappas.size, np.nan)
-    for i, kappa in enumerate(kappas):
+    exact, ensembles = [], []
+    for kappa in kappas:
         sys_k = DrivenTwoLevel(system.level_splitting, system.rabi, float(kappa))
         model = sys_k.monitoring_model()
-        rho0 = DensityMatrix.from_state(sys_k.ground_state())
-        rho = lindblad_exact(model, rho0, t_flip)
-        transfers[i] = rho.entries[0, 0].real
-        if n_traj > 0:
-            grid = _scan_grid(sys_k, t_flip)
-            # only the final node is read, so only its projector sums are kept
-            rho_sum, _ = ensemble_accumulate(
-                model, sys_k.ground_state(), grid, n_traj, seed, workers,
-                store_every=grid.n_steps,
-            )
-            distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), rho)
+        exact.append(lindblad_exact(model, DensityMatrix.from_state(sys_k.ground_state()), t_flip))
+        grid = _scan_grid(sys_k, t_flip)
+        # only the final node is read, so only its projector sums are kept
+        ensembles.append((model, sys_k.ground_state(), grid, n_traj, seed, grid.n_steps))
+    transfers = np.array([rho.entries[0, 0].real for rho in exact])
+    distances = np.full(kappas.size, np.nan)
+    if n_traj > 0:
+        for i, (rho_sum, _) in enumerate(ensemble_sums(ensembles, workers)):
+            distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), exact[i])
     return ZenoScanResult(kappas, np.clip(transfers, 0.0, 1.0), distances)
 
 

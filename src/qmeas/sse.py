@@ -26,8 +26,8 @@ Randomness is counter-based: trajectory i uses a Philox stream keyed by
 seed_base + i, with Gaussian variates drawn by numpy's standard_normal. A
 trajectory is bit-reproducible from its seed alone, independent of batch
 composition and worker scheduling. Ensemble sums are taken over fixed chunks
-of 64 trajectories: each worker steps its contiguous share of chunks together
-in one time loop, and the per-chunk sums are still reduced in chunk order.
+of 64 trajectories: each contiguous share of chunks is stepped together in
+one time loop, and the per-chunk sums are still reduced in chunk order.
 
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
@@ -351,20 +351,45 @@ def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
     return sums, rec_sums
 
 
-def map_shares(task, args: tuple, seeds: range, workers: int) -> list:
-    """Results of ``task((*args, share))`` in seed order, over contiguous,
-    balanced shares of seeds made of whole CHUNK-seed chunks: one share per
-    worker, at most one per chunk, run on a process pool when there are two
-    or more. ``task`` is a module-level function, so the pool can pickle it."""
-    n_chunks = -(-len(seeds) // CHUNK)
-    shares = max(1, min(workers, n_chunks))
-    cuts = [CHUNK * (n_chunks * i // shares) for i in range(shares)] + [len(seeds)]
-    tasks = [(*args, seeds[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-    if len(tasks) > 1:
+def _share_cuts(jobs: list[tuple[int, int]], workers: int) -> list[list[int]]:
+    """The cut points of each job, (seeds, steps), into contiguous, balanced
+    shares of whole CHUNK-seed chunks. A job gets its part of ``workers`` by
+    step count, rounded, at least one share and at most one per chunk, so a
+    single job gets min(workers, chunks)."""
+    total = sum(steps for _, steps in jobs)
+    cuts = []
+    for n, steps in jobs:
+        n_chunks = -(-n // CHUNK)
+        shares = max(1, min(n_chunks, round(workers * steps / total)))
+        cuts.append([CHUNK * (n_chunks * i // shares) for i in range(shares)] + [n])
+    return cuts
+
+
+def map_shares(task, jobs: list[tuple[tuple, range, int]], workers: int) -> list[list]:
+    """For each job, (args, seeds, steps), the results of ``task((*args,
+    share))`` over its shares of seeds (see _share_cuts), in seed order.
+
+    The shares of all jobs run on one process pool of min(workers, shares)
+    processes when that is two or more, else in this process; they are handed
+    out longest job first, by step count, so the pool does not end on one
+    long share. ``task`` is a module-level function, so the pool can pickle
+    it."""
+    cuts = _share_cuts([(len(seeds), steps) for _, seeds, steps in jobs], workers)
+    tasks = [
+        [(*args, seeds[lo:hi]) for lo, hi in zip(c, c[1:])]
+        for (args, seeds, _), c in zip(jobs, cuts)
+    ]
+    order = sorted(range(len(jobs)), key=lambda j: jobs[j][2], reverse=True)
+    queue = [t for j in order for t in tasks[j]]
+    pool = min(workers, len(queue))
+    if pool > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
-        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-            return list(ex.map(task, tasks))
-    return [task(tasks[0])]
+        with ProcessPoolExecutor(max_workers=pool) as ex:
+            done = iter(list(ex.map(task, queue)))
+    else:
+        done = map(task, queue)
+    by_job = {j: [next(done) for _ in tasks[j]] for j in order}
+    return [by_job[j] for j in range(len(jobs))]
 
 
 def fold_chunks(shares) -> np.ndarray:
@@ -376,6 +401,31 @@ def fold_chunks(shares) -> np.ndarray:
     for c in chunks[1:]:
         total += c
     return total
+
+
+def ensemble_sums(ensembles, workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sums of ensemble_accumulate for each of ``ensembles``, tuples of
+    its arguments (model, psi0, grid, n_traj, seed_base, store_every), all
+    run by one map_shares call: every input is checked before any fork, and
+    the shares of all ensembles share one pool. Each ensemble's chunk sums
+    are folded in chunk order, so the bits do not depend on the worker count
+    or on the other ensembles."""
+    jobs = []
+    for model, psi0, grid, n_traj, seed_base, store_every in ensembles:
+        if model.dim != psi0.dim:
+            raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
+        if n_traj < 1:
+            raise ValidationError("n_traj must be >= 1")
+        if seed_base < 0:
+            raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
+        grid.stored_nodes(store_every)  # rejects a bad store_every
+        _guard(model, grid.dt)
+        seeds = range(seed_base, seed_base + n_traj)
+        jobs.append(((model, psi0, grid, store_every), seeds, grid.n_steps))
+    return [
+        (fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts]))
+        for parts in map_shares(_chunk_task, jobs, workers)
+    ]
 
 
 def ensemble_accumulate(
@@ -392,22 +442,14 @@ def ensemble_accumulate(
 
     The projector sums are kept at ``grid.stored_nodes(store_every)``, the
     nodes integrate_lindblad stores; a kept node's sums have the same bits
-    for any ``store_every``. Each worker runs a contiguous, balanced share of
-    fixed chunks of CHUNK trajectories in one time loop; chunk partial sums
-    are combined in chunk order, so the result is identical for any worker
-    count. Returns (projector sums (nodes, d, d), record sums (n,)).
+    for any ``store_every``. Trajectories run in fixed chunks of CHUNK, cut
+    into min(workers, chunks) contiguous, balanced shares (map_shares), each
+    stepped in one time loop; chunk partial sums are combined in chunk order,
+    so the result is identical for any worker count. Returns (projector sums
+    (nodes, d, d), record sums (n,)).
     """
-    if model.dim != psi0.dim:
-        raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
-    if n_traj < 1:
-        raise ValidationError("n_traj must be >= 1")
-    if seed_base < 0:
-        raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
-    grid.stored_nodes(store_every)  # a bad store_every is rejected before any fork
-    _guard(model, grid.dt)
-    seeds = range(seed_base, seed_base + n_traj)
-    parts = map_shares(_chunk_task, (model, psi0, grid, store_every), seeds, workers)
-    return fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts])
+    [sums] = ensemble_sums([(model, psi0, grid, n_traj, seed_base, store_every)], workers)
+    return sums
 
 
 def mean_density(rho_sum: np.ndarray, n_traj: int) -> DensityMatrix:

@@ -156,7 +156,8 @@ INVALID_CONFIGS = [
         5,
         "key 'record_value' does not apply with record_file: the record's a column sets the readouts",
     ),
-    ("[run]\nscenario = rabi-monitor\n[model]\nrabi = -1\n", 4, "rabi must be non-negative"),
+    ("[run]\nscenario = rabi-monitor\n[model]\nrabi = -1\n", 4, "rabi must be positive"),
+    ("[run]\nscenario = transition\n[model]\nrabi = -1\n", 4, "rabi must be non-negative"),
 ]
 
 
@@ -269,6 +270,12 @@ RESOLVED_CONFIGS = [
     ("[run]\nscenario = zeno\n", {}, None),
     ("[run]\nscenario = rabi-monitor\n", {"kappa": 0.04, "dt": 1e-3, "n_steps": 100_000}, None),
     ("[run]\nscenario = transition\n", {"kappa": 4.0, "dt": 1e-3, "n_steps": 30_000}, None),
+    # an undriven transition monitor is a valid run; zeno and rabi-monitor reject rabi = 0
+    (
+        "[run]\nscenario = transition\n[model]\nrabi = 0\n",
+        {"kappa": 4.0, "dt": 1e-3, "n_steps": 30_000, "rabi": 0.0},
+        {"run": {"scenario": "transition"}, "model": {"rabi": "0"}},
+    ),
     ("[run]\nscenario = verify\n", {}, None),
     (
         "[run]\nscenario = chain\nseed = 3\nout = runs/c\n[model]\ndim = 3\n"
@@ -455,12 +462,25 @@ class TestDispatch:
         assert not out.exists()
         assert "line 5: key 'record_value' does not apply with record_file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scenario", ["zeno", "rabi-monitor", "transition"])
-    def test_negative_rabi_exit_code(self, tmp_path, capsys, scenario):
+    @pytest.mark.parametrize(
+        "scenario,sign",
+        [("zeno", "positive"), ("rabi-monitor", "positive"), ("transition", "non-negative")],
+    )
+    def test_negative_rabi_exit_code(self, tmp_path, capsys, scenario, sign):
         rc, out = run_cli(tmp_path, scenario, f"[run]\nscenario = {scenario}\n[model]\nrabi = -1\n")
         assert rc == 1
         assert not out.exists()
-        assert "line 4: rabi must be non-negative" in capsys.readouterr().err
+        assert f"line 4: rabi must be {sign}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["zeno", "rabi-monitor"])
+    def test_zero_rabi_exit_code(self, tmp_path, capsys, scenario):
+        # the zeno scan ends at pi/rabi and the Rabi monitor looks for a line
+        # at rabi, so both need a drive; it is rejected before any output
+        text = f"[run]\nscenario = {scenario}\n[model]\nrabi = 0\n"
+        rc, out = run_cli(tmp_path, scenario, text)
+        assert rc == 1
+        assert not out.exists()
+        assert "line 4: rabi must be positive" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

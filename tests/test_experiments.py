@@ -17,7 +17,7 @@ from qmeas.experiments import (
 from qmeas.hilbert import DensityMatrix, trace_distance
 from qmeas.lindblad import integrate_lindblad, lindblad_exact
 from qmeas.readout import TimeGrid
-from qmeas.sse import _run_batch, ensemble_accumulate
+from qmeas.sse import _run_batch, _share_cuts, ensemble_accumulate
 
 
 def soft_system(kappa=0.04):
@@ -61,6 +61,46 @@ class TestZenoScan:
             distances.append(trace_distance(DensityMatrix(0.5 * (mean + mean.conj().T)), rho))
         assert scan.transfer_probabilities.tobytes() == np.clip(transfers, 0.0, 1.0).tobytes()
         assert scan.sse_trace_distances.tobytes() == np.array(distances).tobytes()
+
+    def test_one_pool_and_the_same_bits_at_any_worker_count(self, monkeypatch):
+        # kappa = 100 has most of the steps, so it is split into two shares at
+        # 2 workers and three at 3, the others run whole; 130 trajectories end
+        # in a partial chunk. All shares of the scan run on one pool.
+        import concurrent.futures
+
+        real, pools = concurrent.futures.ProcessPoolExecutor, []
+
+        class CountedPool(real):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+        system, kappas = DrivenTwoLevel(2.0, 4.0, 1.0), [0.5, 5.0, 100.0]
+        scans = {}
+        for workers, made in ((1, []), (2, [2]), (3, [3])):
+            pools.clear()
+            scans[workers] = run_zeno_scan(system, kappas, n_traj=130, seed=21, workers=workers)
+            assert pools == made, workers
+        for workers in (2, 3):
+            scan, one = scans[workers], scans[1]
+            assert scan.transfer_probabilities.tobytes() == one.transfer_probabilities.tobytes()
+            assert scan.sse_trace_distances.tobytes() == one.sse_trace_distances.tobytes()
+
+    def test_negative_seed_rejected_before_any_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValidationError, match="use a seed >= 0"):
+            run_zeno_scan(soft_system(), [0.5, 5.0], n_traj=130, seed=-1, workers=2)
+
+    def test_bench_grids_share_the_workers_by_step_count(self):
+        # kappa = 100 has about three quarters of the steps, so at 2 workers
+        # it gets both, and each other kappa runs whole
+        grids = [_scan_grid(soft_system(kappa), np.pi) for kappa in (0.1, 1.0, 10.0, 100.0)]
+        cuts = _share_cuts([(128, g.n_steps) for g in grids], 2)
+        assert cuts == [[0, 128], [0, 128], [0, 128], [0, 64, 128]]
 
     def test_kappa_list_validation(self):
         with pytest.raises(ValidationError):

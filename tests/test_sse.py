@@ -24,6 +24,7 @@ from qmeas.sse import (
     _chunk_task,
     _noise,
     _run_batch,
+    _share_cuts,
     _step_batch,
     _step_kernel,
     ensemble_accumulate,
@@ -232,6 +233,17 @@ class TestEnsemble:
         assert _same_bits(one, two)
         assert _same_bits(rec_one, rec_two)
 
+    @pytest.mark.parametrize("n_seeds", [1, 63, 64, 65, 128, 130, 150, 1000, 2000])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    def test_one_job_keeps_one_share_per_worker(self, n_seeds, workers):
+        # a single ensemble or chain ensemble is cut into min(workers, chunks)
+        # balanced shares of whole chunks, for any step count
+        n_chunks = -(-n_seeds // 64)
+        shares = min(workers, n_chunks)
+        cuts = [64 * (n_chunks * i // shares) for i in range(shares)] + [n_seeds]
+        for steps in (1, 2000):
+            assert _share_cuts([(n_seeds, steps)], workers) == [cuts]
+
     def test_trajectory_identical_inside_and_outside_ensemble(self):
         model = dephasing_model(kappa=0.5, h=pauli_x())
         grid = TimeGrid(0.0, 1e-3, 100)
@@ -260,7 +272,10 @@ class TestEnsemble:
 def _reference_raw(h, a, kappa, psi, dw, dt):
     """The Euler-Maruyama step as a plain formula on fresh arrays, frozen
     here so that the step kernel is held to it; returns (states before
-    normalization, their norms, <A>)."""
+    normalization, their norms, <A>). Its sums run over the last axis, whose
+    order numpy takes from the memory layout at d >= 4, so the inputs are
+    taken C-contiguous."""
+    h, a, psi = (np.ascontiguousarray(x) for x in (h, a, psi))
 
     def matvec(m, x):
         return (m[None, :, :] * x[:, None, :]).sum(axis=2)
@@ -338,6 +353,19 @@ class TestAgainstPerChunkReference:
                 rho, rec = ensemble_accumulate(model, psi0, grid, n_traj, 31, workers)
                 assert _same_bits(rho, ref_rho), (n_steps, workers)
                 assert _same_bits(rec, ref_rec), (n_steps, workers)
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_reference_bits_do_not_depend_on_the_input_layout(self, dim):
+        rng = np.random.default_rng(dim)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim)).entries
+        a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim)).entries
+        psi = rng.standard_normal((65, dim)) + 1j * rng.standard_normal((65, dim))
+        dw = rng.standard_normal(65) * np.sqrt(1e-3)
+        c_order = _reference_raw(h, a, 0.7, psi, dw, 1e-3)
+        h_f, a_f, psi_f = (np.asfortranarray(x) for x in (h, a, psi))
+        f_order = _reference_raw(h_f, a_f, 0.7, psi_f, dw, 1e-3)
+        for c, f in zip(c_order, f_order):
+            assert _same_bits(c, f)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trajectory_bits(self, dim):
