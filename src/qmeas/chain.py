@@ -276,7 +276,7 @@ def run_chain_ensemble(
     _eigensystem(k)  # a degenerate spectrum is rejected before any fork
     seeds = range(seed_base, seed_base + n_chains)
     job = (k, psi0, n_steps, collapse_threshold), seeds, n_steps
-    [parts] = map_shares(_chain_share, [job], workers)
+    [parts], _ = map_shares(_chain_share, [job], workers)
     collapsed = np.concatenate([c for c, _, _ in parts])
     pops_final = np.concatenate([p for _, p, _ in parts])
     return collapsed, pops_final, fold_chunks([s for _, _, s in parts]) / n_chains

@@ -27,10 +27,10 @@ from .experiments import (
     run_transition_monitor,
     run_zeno_scan,
 )
-from .hilbert import DensityMatrix, trace_distance
+from .hilbert import DensityMatrix
 from .lindblad import MonitoringModel, integrate_lindblad
 from .readout import constant_record, parse_record, reference_log_weight
-from .sse import ensemble_average
+from .sse import compare_to_master
 from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
 from .verify import run_all_checks
 
@@ -135,15 +135,10 @@ def _run_chm(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
 def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
-    summary = ensemble_average(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
-    ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
-    expects, dists = [], []
-    for mean, r in zip(summary.mean_rho, ref):
-        dists.append(trace_distance(mean, r))
-        expects.append(float(np.trace(cfg.a.entries @ mean.entries).real))
+    expects, dists = compare_to_master(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
     header = ["t", "expect_A", "trace_distance_lindblad"]
     _write_csv(out / "ensemble.csv", header, [grid.times(), expects, dists])
-    return {"n_traj": cfg.n_traj, "max_trace_distance": max(dists)}
+    return {"n_traj": cfg.n_traj, "max_trace_distance": float(np.max(dists))}
 
 
 def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:

@@ -154,7 +154,8 @@ def run_zeno_scan(
     transfers = np.array([rho.entries[0, 0].real for rho in exact])
     distances = np.full(kappas.size, np.nan)
     if n_traj > 0:
-        for i, (rho_sum, _) in enumerate(ensemble_sums(ensembles, workers)):
+        sums, _ = ensemble_sums(ensembles, workers)
+        for i, (rho_sum, _) in enumerate(sums):
             distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), exact[i])
     return ZenoScanResult(kappas, np.clip(transfers, 0.0, 1.0), distances)
 

@@ -123,6 +123,35 @@ class QuantumState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+def _densities(m: np.ndarray, min_eigenvalues=None) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stack (..., d, d) of matrices as density matrices: Hermitian
+    to 1e-12, trace 1 to 1e-10 and no eigenvalue of the Hermitian part
+    0.5 (m + m^H) below -1e-9. Raises ValidationError for the first matrix
+    that fails, with the message of its first failing check, in that order.
+    Returns (the Hermitian parts, their smallest eigenvalues); a caller that
+    holds the smallest eigenvalues passes them instead (see DensityMatrix).
+    Each matrix gets the values a check of it alone would give."""
+    mh = np.swapaxes(m.conj(), -1, -2)
+    skew = np.max(np.abs(m - mh), axis=(-2, -1)) > HERMITICITY_ATOL
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off_trace = np.abs(tr - 1.0) > TRACE_ATOL
+    sym = 0.5 * (m + mh)
+    lo = min_eigenvalues
+    if lo is None:
+        lo = np.min(np.linalg.eigvalsh(sym), axis=-1)
+    lo = np.asarray(lo, dtype=float)
+    negative = lo < -POSITIVITY_ATOL
+    failed = skew | off_trace | negative
+    if failed.any():
+        k = np.flatnonzero(failed)[0]
+        if skew.flat[k]:
+            raise ValidationError("density matrix must be Hermitian to 1e-12")
+        if off_trace.flat[k]:
+            raise ValidationError(f"density matrix trace must be 1: got {complex(tr.flat[k]):.12g}")
+        raise ValidationError(f"density matrix has negative eigenvalue {lo.flat[k]:.3g}")
+    return sym, lo
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Dense positive semidefinite unit-trace matrix.
@@ -139,17 +168,7 @@ class DensityMatrix:
 
     def __post_init__(self, _min_eigenvalue):
         m = _as_complex_matrix(self.entries, "DensityMatrix")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValidationError("density matrix must be Hermitian to 1e-12")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"density matrix trace must be 1: got {tr:.12g}")
-        sym = 0.5 * (m + m.conj().T)
-        lo = _min_eigenvalue
-        if lo is None:
-            lo = float(np.min(np.linalg.eigvalsh(sym)))
-        if lo < -POSITIVITY_ATOL:
-            raise ValidationError(f"density matrix has negative eigenvalue {lo:.3g}")
+        sym, _ = _densities(m, _min_eigenvalue)
         object.__setattr__(self, "entries", _frozen(sym))
         object.__setattr__(self, "dim", m.shape[0])
 
@@ -200,8 +219,12 @@ def matrix_exponential(op: NonHermitianOperator, t: float = 1.0) -> NonHermitian
 def trace_distance(r1: DensityMatrix, r2: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of r1 - r2; lies in [0, 1]."""
     _check_same_dim(r1, r2)
-    diff = r1.entries - r2.entries
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(_trace_distances(r1.entries, r2.entries))
+
+
+def _trace_distances(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """trace_distance of raw matrices, unchecked, over stacks (..., d, d)."""
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(r1 - r2)), axis=-1)
 
 
 def double_commutator(a: HermitianOperator, rho: DensityMatrix) -> np.ndarray:

@@ -27,7 +27,10 @@ seed_base + i, with Gaussian variates drawn by numpy's standard_normal. A
 trajectory is bit-reproducible from its seed alone, independent of batch
 composition and worker scheduling. Ensemble sums are taken over fixed chunks
 of 64 trajectories: each contiguous share of chunks is stepped together in
-one time loop, and the per-chunk sums are still reduced in chunk order.
+one time loop, and the per-chunk sums are still reduced in chunk order. A
+share's projector sums are taken on its d-major states (see below) by the
+einsum of a (batch, d) layout with its operands' axes permuted, which keeps
+the order of the sum over the batch, so no (batch, d) copy is made.
 
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
@@ -50,8 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationError, ValidationError
-from .hilbert import DensityMatrix, QuantumState
-from .lindblad import MonitoringModel
+from .hilbert import DensityMatrix, QuantumState, _densities, _trace_distances
+from .lindblad import MonitoringModel, integrate_lindblad
 from .readout import ReadoutRecord, TimeGrid
 
 CHUNK = 64  # trajectories per reduction chunk; fixed so results do not depend on worker count
@@ -251,8 +254,21 @@ def _by_chunk(x: np.ndarray, reduce, out: np.ndarray):
         out[full] = reduce(x[full * CHUNK :][None])[0]
 
 
-def _projectors(g: np.ndarray) -> np.ndarray:
-    return np.einsum("gbi,gbj->gij", g, g.conj())
+def _projector_sums(psi: np.ndarray, out: np.ndarray):
+    """out[c] = the sum of |psi><psi| over the states of chunk c of d-major
+    states psi (d, batch): all full chunks in one einsum on the (d, chunks,
+    CHUNK) view, a partial last alone. It is the einsum "gbi,gbj->gij" of a
+    (batch, d) layout with its operands' axes permuted. numpy adds each sum
+    over the batch in batch order in either layout, so the bits equal those
+    of that einsum on a C-contiguous (batch, d) copy, without the copy."""
+    d, b = psi.shape
+    full = b // CHUNK
+    if full:
+        g = psi[:, : full * CHUNK].reshape(d, full, CHUNK)
+        out[:full] = np.einsum("igb,jgb->gij", g, g.conj())
+    if full < len(out):
+        g = psi[:, full * CHUNK :][:, None]
+        out[full] = np.einsum("igb,jgb->gij", g, g.conj())[0]
 
 
 def _run_batch(
@@ -269,7 +285,7 @@ def _run_batch(
     n), and projector sums per chunk at ``grid.stored_nodes(store_every)``
     (chunks, nodes, dim, dim). A chunk's sums add its trajectories in seed
     order, so they are the same bits in any batch. The time loop steps d-major
-    states (dim, batch) and gives _projectors a C-contiguous (batch, dim) copy.
+    states (dim, batch), and _projector_sums reads them in that layout.
     """
     b = len(seeds)
     d = model.dim
@@ -286,7 +302,7 @@ def _run_batch(
     else:
         nodes, hist, recs = grid.stored_nodes(store_every), None, np.empty((n_chunks, n))
         sums = np.empty((n_chunks, len(nodes), d, d), dtype=complex)
-        _by_chunk(psi.T.copy(), _projectors, sums[:, 0])
+        _projector_sums(psi, sums[:, 0])
     # the next kept node and its row of sums; past the grid when none is left
     pending = iter(enumerate(nodes[1:], start=1))
     row, next_node = next(pending, (0, n + 1))
@@ -314,7 +330,7 @@ def _run_batch(
                 step(psi, noise[k], out, exps[k], norms[k])
                 psi, spare = out, psi
                 if node == next_node:
-                    _by_chunk(psi.T.copy(), _projectors, sums[:, row])
+                    _projector_sums(psi, sums[:, row])
                     row, next_node = next(pending, (0, n + 1))
         _check_norms(norms[:m])
         np.add(exps[:m].T, block, out=block)
@@ -365,15 +381,22 @@ def _share_cuts(jobs: list[tuple[int, int]], workers: int) -> list[list[int]]:
     return cuts
 
 
-def map_shares(task, jobs: list[tuple[tuple, range, int]], workers: int) -> list[list]:
+def map_shares(
+    task, jobs: list[tuple[tuple, range, int]], workers: int, local=None
+) -> tuple[list[list], object]:
     """For each job, (args, seeds, steps), the results of ``task((*args,
-    share))`` over its shares of seeds (see _share_cuts), in seed order.
+    share))`` over its shares of seeds (see _share_cuts), in seed order;
+    returns (those lists, the result of ``local()``, or None without it).
 
     The shares of all jobs run on one process pool of min(workers, shares)
     processes when that is two or more, else in this process; they are handed
     out longest job first, by step count, so the pool does not end on one
     long share. ``task`` is a module-level function, so the pool can pickle
-    it."""
+    it. ``local`` runs once, in this process: on a pool after every share
+    has been submitted, so it overlaps them (with fork, every worker is
+    forked at the first submit, before it runs); without one after the
+    shares. A share's error is raised before one of ``local``, as without a
+    pool."""
     cuts = _share_cuts([(len(seeds), steps) for _, seeds, steps in jobs], workers)
     tasks = [
         [(*args, seeds[lo:hi]) for lo, hi in zip(c, c[1:])]
@@ -381,15 +404,21 @@ def map_shares(task, jobs: list[tuple[tuple, range, int]], workers: int) -> list
     ]
     order = sorted(range(len(jobs)), key=lambda j: jobs[j][2], reverse=True)
     queue = [t for j in order for t in tasks[j]]
+    here = local or (lambda: None)
     pool = min(workers, len(queue))
     if pool > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
         with ProcessPoolExecutor(max_workers=pool) as ex:
-            done = iter(list(ex.map(task, queue)))
+            results = ex.map(task, queue)  # submits every share
+            try:
+                mine = here()
+            finally:  # a share's error replaces one of local
+                done = iter(list(results))
     else:
-        done = map(task, queue)
+        done = iter([task(t) for t in queue])
+        mine = here()
     by_job = {j: [next(done) for _ in tasks[j]] for j in order}
-    return [by_job[j] for j in range(len(jobs))]
+    return [by_job[j] for j in range(len(jobs))], mine
 
 
 def fold_chunks(shares) -> np.ndarray:
@@ -403,13 +432,17 @@ def fold_chunks(shares) -> np.ndarray:
     return total
 
 
-def ensemble_sums(ensembles, workers: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+def ensemble_sums(
+    ensembles, workers: int = 1, local=None
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], object]:
     """The sums of ensemble_accumulate for each of ``ensembles``, tuples of
     its arguments (model, psi0, grid, n_traj, seed_base, store_every), all
     run by one map_shares call: every input is checked before any fork, and
     the shares of all ensembles share one pool. Each ensemble's chunk sums
     are folded in chunk order, so the bits do not depend on the worker count
-    or on the other ensembles."""
+    or on the other ensembles. Returns (a list of (projector sums, record
+    sums), one per ensemble, the result of ``local``): map_shares runs
+    ``local`` while the pool runs the shares."""
     jobs = []
     for model, psi0, grid, n_traj, seed_base, store_every in ensembles:
         if model.dim != psi0.dim:
@@ -422,10 +455,9 @@ def ensemble_sums(ensembles, workers: int = 1) -> list[tuple[np.ndarray, np.ndar
         _guard(model, grid.dt)
         seeds = range(seed_base, seed_base + n_traj)
         jobs.append(((model, psi0, grid, store_every), seeds, grid.n_steps))
-    return [
-        (fold_chunks([s for s, _ in parts]), fold_chunks([r for _, r in parts]))
-        for parts in map_shares(_chunk_task, jobs, workers)
-    ]
+    shares, mine = map_shares(_chunk_task, jobs, workers, local)
+    folded = [tuple(fold_chunks(part) for part in zip(*parts)) for parts in shares]
+    return folded, mine
 
 
 def ensemble_accumulate(
@@ -448,14 +480,27 @@ def ensemble_accumulate(
     so the result is identical for any worker count. Returns (projector sums
     (nodes, d, d), record sums (n,)).
     """
-    [sums] = ensemble_sums([(model, psi0, grid, n_traj, seed_base, store_every)], workers)
+    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base, store_every)], workers)
     return sums
+
+
+def _mean(rho_sum: np.ndarray, n_traj: int) -> np.ndarray:
+    """The Hermitian part over n_traj of sums (..., d, d) of n_traj
+    trajectory projectors."""
+    return 0.5 * (rho_sum + np.swapaxes(rho_sum.conj(), -1, -2)) / n_traj
 
 
 def mean_density(rho_sum: np.ndarray, n_traj: int) -> DensityMatrix:
     """The ensemble mean state from a sum of n_traj trajectory projectors:
     its Hermitian part over n_traj."""
-    return DensityMatrix(0.5 * (rho_sum + rho_sum.conj().T) / n_traj)
+    return DensityMatrix(_mean(rho_sum, n_traj))
+
+
+def mean_states(rho_sums: np.ndarray, n_traj: int) -> tuple[np.ndarray, np.ndarray]:
+    """mean_density at every node of projector sums (nodes, d, d), as one
+    stack: (the mean states, their smallest eigenvalues), with the bits and
+    the checks of a DensityMatrix built at each node."""
+    return _densities(_mean(rho_sums, n_traj))
 
 
 def ensemble_average(
@@ -471,6 +516,33 @@ def ensemble_average(
     (n_traj, seed_base) regardless of execution order. With n_traj = 1 the
     result degenerates to the projector sequence of that single trajectory."""
     rho_sum, _ = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
-    mean = tuple(mean_density(m, n_traj) for m in rho_sum)
+    means, lows = mean_states(rho_sum, n_traj)
+    mean = tuple(DensityMatrix(m, _min_eigenvalue=lo) for m, lo in zip(means, lows))
     return EnsembleSummary(n_traj=n_traj, mean_rho=mean, seed_base=seed_base, grid=grid)
 
+
+def compare_to_master(
+    model: MonitoringModel,
+    psi0: QuantumState,
+    grid: TimeGrid,
+    n_traj: int,
+    seed_base: int,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble of ensemble_average against the master equation at every
+    grid node: returns (<A> = tr(A M) of the mean state M, the trace distance
+    of M to integrate_lindblad's state), each (n_steps + 1,).
+
+    The master equation is integrated in this process while the pool runs
+    the trajectories (map_shares' ``local``); the mean states are checked
+    and compared as one (nodes, d, d) stack. The values are the bits of
+    ensemble_average's states, ``np.trace(A @ M).real`` and trace_distance
+    node by node, for any worker count."""
+    [(rho_sum, _)], ref = ensemble_sums(
+        [(model, psi0, grid, n_traj, seed_base, 1)],
+        workers,
+        local=lambda: integrate_lindblad(model, DensityMatrix.from_state(psi0), grid),
+    )
+    means, _ = mean_states(rho_sum, n_traj)
+    expects = np.trace(model.A.entries @ means, axis1=-2, axis2=-1).real
+    return expects, _trace_distances(means, np.array([r.entries for r in ref]))

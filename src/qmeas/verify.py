@@ -44,7 +44,7 @@ from .hilbert import (
 )
 from .lindblad import integrate_lindblad
 from .readout import TimeGrid, constant_record
-from .sse import ensemble_accumulate, ensemble_average
+from .sse import compare_to_master, ensemble_accumulate
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,10 @@ def check_dephasing_rate() -> CheckResult:
 def check_sse_lindblad_equivalence(n_traj: int = 2000, workers: int = 1) -> CheckResult:
     """Stochastic ensemble mean matches the master equation at every output
     time (trace distance <= 0.02 with 2000 trajectories)."""
-    h, a, kappa = pauli_x(), pauli_z(), 0.5
+    model = MonitoringModel(pauli_x(), pauli_z(), 0.5)
     grid = TimeGrid(0.0, 1e-3, 2000)
-    psi0 = basis_state(2, 0)
-    rhos = integrate_lindblad(MonitoringModel(h, a, kappa), DensityMatrix.from_state(psi0), grid)
-    summary = ensemble_average(
-        MonitoringModel(h, a, kappa), psi0, grid, n_traj, seed_base=1000, workers=workers
-    )
-    dists = [trace_distance(m, r) for m, r in zip(summary.mean_rho, rhos)]
-    worst = max(dists)
+    _, dists = compare_to_master(model, basis_state(2, 0), grid, n_traj, 1000, workers)
+    worst = float(np.max(dists))
     return CheckResult(
         "sse_lindblad_equivalence",
         worst <= 0.02,

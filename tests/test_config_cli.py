@@ -11,7 +11,10 @@ from qmeas import cli
 from qmeas.cli import dispatch, main
 from qmeas.config import KEYS, parse_config
 from qmeas.errors import ConfigError
+from qmeas.hilbert import DensityMatrix, trace_distance
+from qmeas.lindblad import MonitoringModel, integrate_lindblad
 from qmeas.readout import parse_record
+from qmeas.sse import ensemble_accumulate
 
 
 class TestParseConfig:
@@ -609,6 +612,38 @@ class TestReproducibility:
         assert files == sorted(p.name for p in out2.iterdir())
         for f in files:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+def _per_node_ensemble_csv(path, text):
+    """ensemble.csv and max_trace_distance of an sse-ensemble config by one
+    DensityMatrix, one trace_distance and one tr(A M) per node, frozen here
+    so that the stacked pass over the mean states is held to it."""
+    cfg = parse_config(text)
+    model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
+    rho_sum, _ = ensemble_accumulate(model, cfg.psi0, cfg.grid, cfg.n_traj, cfg.seed)
+    ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), cfg.grid)
+    expects, dists = [], []
+    for s, r in zip(rho_sum, ref):
+        mean = DensityMatrix(0.5 * (s + s.conj().T) / cfg.n_traj)
+        dists.append(trace_distance(mean, r))
+        expects.append(float(np.trace(cfg.a.entries @ mean.entries).real))
+    header = ["t", "expect_A", "trace_distance_lindblad"]
+    cli._write_csv(path, header, [cfg.grid.times(), expects, dists])
+    return max(dists)
+
+
+class TestEnsembleAgainstMaster:
+    # the three-level run starts in |+>: |0> is an eigenstate of its A
+    @pytest.mark.parametrize("model", ["two-level", "three-level\npsi0 = plus"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_csv_is_the_per_node_loop(self, tmp_path, model, workers):
+        text = SMALL_SSE.replace("two-level", model).replace("n_traj = 80", "n_traj = 130")
+        rc, out = run_cli(tmp_path, model[:5], text, "--workers", workers)
+        assert rc == 0
+        worst = _per_node_ensemble_csv(tmp_path / "per_node.csv", text)
+        assert (out / "ensemble.csv").read_bytes() == (tmp_path / "per_node.csv").read_bytes()
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["headline"]["max_trace_distance"] == worst
 
 
 # One fresh interpreter: the pytest process has loaded scipy and the process

@@ -144,6 +144,40 @@ class TestIntegration:
         with pytest.raises(IntegrationError, match=r"positivity violated at step 1 .*; dt=0\.05 "):
             integrate_lindblad(model, rho0, TimeGrid(0.0, 0.05, 50))
 
+    @staticmethod
+    def _rhs_from_step(monkeypatch, step, extra):
+        """The real right-hand side, plus ``extra`` from the four RK4 stages
+        of step ``step`` on."""
+        real, calls = lindblad_mod._rhs_raw, []
+
+        def rhs(h, a, kappa, r):
+            calls.append(None)
+            out = real(h, a, kappa, r)
+            return out + extra if len(calls) > 4 * (step - 1) else out
+
+        monkeypatch.setattr(lindblad_mod, "_rhs_raw", rhs)
+
+    def test_rk4_trace_drift_aborts(self, monkeypatch):
+        # a trace-changing term from step 3 on: the one-step drift is
+        # dt * tr(extra) = 0.01 * 2e-6, above the 1e-9 bound
+        self._rhs_from_step(monkeypatch, 3, 1e-6 * np.eye(2))
+        rho0 = DensityMatrix.from_state(basis_state(2, 0))
+        grid = TimeGrid(0.0, 0.01, 10)
+        message = r"^trace drift 2e-08 at step 3 exceeds 1e-9; reduce dt$"
+        with pytest.raises(IntegrationError, match=message):
+            integrate_lindblad(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, grid)
+
+    def test_rk4_non_finite_aborts(self, monkeypatch):
+        self._rhs_from_step(monkeypatch, 2, np.full((2, 2), np.nan))
+        rho0 = DensityMatrix.from_state(basis_state(2, 0))
+        grid = TimeGrid(0.0, 0.01, 10)
+        message = (
+            r"^non-finite density matrix at step 2; "
+            r"dt=0\.01 is too large for kappa=0\.5 \(RK4 unstable\)$"
+        )
+        with pytest.raises(IntegrationError, match=message):
+            integrate_lindblad(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, grid)
+
     def test_store_every_thins_output(self):
         model = LindbladModel(pauli_x(), pauli_z(), 0.5)
         rho0 = DensityMatrix.from_state(basis_state(2, 0))

@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
     QuantumState,
+    _densities,
     basis_state,
     expectation,
     pauli_x,
@@ -23,12 +25,18 @@ from qmeas.readout import TimeGrid
 from qmeas.sse import (
     _chunk_task,
     _noise,
+    _projector_sums,
     _run_batch,
     _share_cuts,
     _step_batch,
     _step_kernel,
+    compare_to_master,
     ensemble_accumulate,
     ensemble_average,
+    ensemble_sums,
+    map_shares,
+    mean_density,
+    mean_states,
     simulate_trajectory,
     sse_step,
 )
@@ -485,6 +493,148 @@ class TestKernelSignedZeros:
         assert _same_bits(out, ref_out)
         assert _same_bits(exp_a, ref_exp)
         assert _same_bits(norms, ref_norms)
+
+
+def _reference_projector_sums(states: np.ndarray) -> np.ndarray:
+    """Per-chunk sums of |psi><psi| over states (batch, d), all full chunks of
+    64 in one einsum on a C-contiguous (batch, d) copy and a partial last
+    alone; frozen here so the sums on d-major states are held to it."""
+    x = np.ascontiguousarray(states)
+    full, parts = len(x) // 64, []
+    if full:
+        g = x[: full * 64].reshape(full, 64, -1)
+        parts.append(np.einsum("gbi,gbj->gij", g, g.conj()))
+    if full * 64 < len(x):
+        g = x[full * 64 :][None]
+        parts.append(np.einsum("gbi,gbj->gij", g, g.conj()))
+    return np.concatenate(parts)
+
+
+class TestProjectorSums:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([1, 63, 64, 65, 130, 1000]),
+        zeros=st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_d_major_sums_are_the_batch_major_bits(self, dim, seed, batch, zeros):
+        rng = np.random.default_rng(seed)
+        if zeros:
+            states = _with_zeros(rng, (batch, dim))
+            z = rng.choice([0.0, -0.0])
+            states[rng.random(batch) < 0.2] = complex(z, z)  # zero rows
+        else:
+            states = rng.standard_normal((batch, dim)) + 1j * rng.standard_normal((batch, dim))
+        out = np.empty((-(-batch // 64), dim, dim), complex)
+        _projector_sums(np.ascontiguousarray(states.T), out)
+        assert _same_bits(out, _reference_projector_sums(states))
+
+
+def _size(args) -> int:
+    return len(args[-1])
+
+
+def _failing_share(args):
+    raise IntegrationError(f"share of {len(args[-1])} seeds failed")
+
+
+class TestLocal:
+    """map_shares' ``local``: run once in this process, while a pool runs the
+    shares, and after them without one."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_runs_once_in_this_process(self, workers):
+        calls = []
+        model, grid = dephasing_model(h=pauli_x()), TimeGrid(0.0, 1e-3, 20)
+        ensemble = (model, plus_state(2), grid, 130, 4, 1)
+        [sums], mine = ensemble_sums([ensemble], workers, local=lambda: calls.append(os.getpid()))
+        assert calls == [os.getpid()] and mine is None
+        [alone], nothing = ensemble_sums([ensemble], workers)
+        assert nothing is None
+        assert all(_same_bits(x, y) for x, y in zip(sums, alone))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_share_error_wins_over_local(self, workers):
+        calls = []
+
+        def local():
+            calls.append(None)
+            raise ValidationError("local failed")
+
+        jobs = [((), range(130), 10)]
+        with pytest.raises(IntegrationError, match="share of .* seeds failed"):
+            map_shares(_failing_share, jobs, workers, local)
+        # without a pool local runs after the shares, so not at all here
+        assert len(calls) == (0 if workers == 1 else 1)
+        with pytest.raises(ValidationError, match="local failed"):
+            map_shares(_size, jobs, workers, local)
+        assert map_shares(_size, jobs, workers, lambda: "mine")[1] == "mine"
+
+    def test_a_single_share_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        calls = []
+        shares, mine = map_shares(_size, [((), range(64), 10)], 4, lambda: calls.append(None) or 7)
+        assert shares == [[64]] and mine == 7 and len(calls) == 1
+
+
+class TestStackedMeans:
+    """The mean states of compare_to_master, checked and compared as one
+    stack, against DensityMatrix, ensemble_average and trace_distance node
+    by node."""
+
+    GOOD = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    BAD = {
+        "skew": GOOD + np.array([[0.0, 1e-9], [0.0, 0.0]]),
+        "trace": 1.001 * GOOD,
+        "negative": np.array([[1.1, 0.5], [0.5, -0.1]]),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(BAD))
+    def test_the_first_bad_node_raises_the_density_matrix_text(self, defect):
+        bad = self.BAD[defect]
+        with pytest.raises(ValidationError) as alone:
+            DensityMatrix(bad)
+        stack = np.stack([self.GOOD, self.GOOD, bad, self.GOOD])
+        with pytest.raises(ValidationError) as stacked:
+            _densities(stack)
+        assert str(stacked.value) == str(alone.value)
+        if defect != "skew":  # mean_states takes the Hermitian part first
+            sums = 3.0 * stack
+            with pytest.raises(ValidationError) as per_node:
+                mean_density(sums[2], 3)
+            with pytest.raises(ValidationError) as stacked:
+                mean_states(sums, 3)
+            assert str(stacked.value) == str(per_node.value)
+
+    def test_node_order_then_check_order(self):
+        off_and_negative = 1.5 * self.BAD["negative"]
+        stack = np.stack([self.GOOD, self.BAD["negative"], self.BAD["skew"]])
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            _densities(stack)
+        with pytest.raises(ValidationError, match="trace must be 1: got"):
+            _densities(np.stack([self.GOOD, off_and_negative]))
+
+    @given(dim=st.sampled_from([2, 3, 4, 5, 8, 16, 64]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=14, deadline=None)
+    def test_stacked_values_are_the_per_node_bits(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        model, grid, n_traj = MonitoringModel(h, a, 0.5), TimeGrid(0.0, 1e-3, 6), 5
+        expects, dists = compare_to_master(model, psi0, grid, n_traj, seed % 1000)
+        rho_sum, _ = ensemble_accumulate(model, psi0, grid, n_traj, seed % 1000)
+        means = [DensityMatrix(0.5 * (s + s.conj().T) / n_traj) for s in rho_sum]
+        ref = integrate_lindblad(model, DensityMatrix.from_state(psi0), grid)
+        per_node = [float(np.trace(a.entries @ m.entries).real) for m in means]
+        assert _same_bits(expects, np.array(per_node))
+        assert _same_bits(dists, np.array([trace_distance(m, r) for m, r in zip(means, ref)]))
+        summary = ensemble_average(model, psi0, grid, n_traj, seed % 1000)
+        assert all(_same_bits(x.entries, y.entries) for x, y in zip(summary.mean_rho, means))
 
 
 class TestStoreEvery:
