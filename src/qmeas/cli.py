@@ -45,23 +45,37 @@ an amplitude row. The keys, with their defaults and where not all, scenarios:
 """
 
 
-CSV_SLICE = 4096  # rows formatted at once, so the text in memory stays small
+# cells formatted at once (whole rows, at least one), so the text and the
+# Python objects in memory stay small whatever the table's length or width
+CSV_SLICE = 4096
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write a table given by columns: each item is a 1-D column or a 2-D
-    block of adjacent columns. Numbers get 17 significant digits, other cells
-    str(). Blocks of complex values are passed as ``.view(float)``, which puts
-    each re, im pair side by side."""
+    block of adjacent columns. Numbers get 17 significant digits (``%.17g``),
+    other cells str() (``%s``). Blocks of complex values are passed as
+    ``.view(float)``, which puts each re, im pair side by side.
+
+    The rows are formatted in slices of max(1, CSV_SLICE // width) rows, each
+    by one printf-style call on the slice's cells as one flat tuple, so a
+    cell's own text is never parsed again. Raises ValueError when the blocks
+    have different row counts or the header does not name every column."""
     blocks = [np.asarray(c) for c in columns]
     blocks = [c[:, None] if c.ndim == 1 else c for c in blocks]
     kinds = [c.dtype.kind for c in blocks for _ in range(c.shape[1])]
-    template = ",".join("{:.17g}" if k in "biuf" else "{}" for k in kinds) + "\n"
+    rows = {len(c) for c in blocks}
+    if len(rows) != 1:
+        raise ValueError(f"{path.name}: the columns have different row counts {sorted(rows)}")
+    if len(header) != len(kinds):
+        raise ValueError(f"{path.name}: {len(header)} header names for {len(kinds)} columns")
+    row = ",".join("%.17g" if k in "biuf" else "%s" for k in kinds) + "\n"
+    step = max(1, CSV_SLICE // len(kinds))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for lo in range(0, len(blocks[0]), CSV_SLICE):
-            cols = [col for c in blocks for col in c[lo : lo + CSV_SLICE].T.tolist()]
-            f.write("".join(template.format(*row) for row in zip(*cols)))
+        for lo in range(0, rows.pop(), step):
+            part = [c[lo : lo + step].astype(object) for c in blocks]
+            cells = np.concatenate(part, axis=1).ravel().tolist()
+            f.write((row * len(part[0])) % tuple(cells))
 
 
 def _json_ready(value):

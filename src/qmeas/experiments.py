@@ -133,7 +133,8 @@ def run_zeno_scan(
     the master equation is reported as a trace distance. The ensembles of all
     kappa run on one pool of ``workers`` processes (sse.ensemble_sums), each
     kappa's share of the workers in proportion to its step count, the longest
-    grid first; the result does not depend on the worker count.
+    grid first; the result does not depend on the worker count. The exact
+    propagators run in this process while the pool steps the trajectories.
     """
     kappas = np.asarray(list(kappa_list), dtype=float)
     if kappas.size == 0 or np.any(kappas <= 0):
@@ -143,20 +144,27 @@ def run_zeno_scan(
     if system.rabi <= 0:
         raise ValidationError("zeno scan needs a positive Rabi frequency")
     t_flip = np.pi / system.rabi
-    exact, ensembles = [], []
+    ensembles = []
     for kappa in kappas:
         sys_k = DrivenTwoLevel(system.level_splitting, system.rabi, float(kappa))
-        model = sys_k.monitoring_model()
-        exact.append(lindblad_exact(model, DensityMatrix.from_state(sys_k.ground_state()), t_flip))
         grid = _scan_grid(sys_k, t_flip)
         # only the final node is read, so only its projector sums are kept
-        ensembles.append((model, sys_k.ground_state(), grid, n_traj, seed, grid.n_steps))
-    transfers = np.array([rho.entries[0, 0].real for rho in exact])
+        ensembles.append(
+            (sys_k.monitoring_model(), sys_k.ground_state(), grid, n_traj, seed, grid.n_steps)
+        )
+
+    def exact_states():
+        return [lindblad_exact(m, DensityMatrix.from_state(g), t_flip) for m, g, *_ in ensembles]
+
     distances = np.full(kappas.size, np.nan)
     if n_traj > 0:
-        sums, _ = ensemble_sums(ensembles, workers)
+        # the exact propagators (and scipy's import) run while the pool steps
+        sums, exact = ensemble_sums(ensembles, workers, local=exact_states)
         for i, (rho_sum, _) in enumerate(sums):
             distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), exact[i])
+    else:
+        exact = exact_states()
+    transfers = np.array([rho.entries[0, 0].real for rho in exact])
     return ZenoScanResult(kappas, np.clip(transfers, 0.0, 1.0), distances)
 
 

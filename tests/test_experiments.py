@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -86,6 +87,23 @@ class TestZenoScan:
             scan, one = scans[workers], scans[1]
             assert scan.transfer_probabilities.tobytes() == one.transfer_probabilities.tobytes()
             assert scan.sse_trace_distances.tobytes() == one.sse_trace_distances.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_exact_propagators_once_per_kappa_in_this_process(self, tmp_path, monkeypatch, workers):
+        # each call appends this process id to a file, so a call in a forked
+        # worker would show up too
+        log = tmp_path / "calls"
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return lindblad_exact(*args, **kwargs)
+
+        monkeypatch.setattr("qmeas.experiments.lindblad_exact", logged)
+        kappas = [0.5, 5.0, 50.0]
+        scan = run_zeno_scan(soft_system(), kappas, n_traj=70, seed=3, workers=workers)
+        assert log.read_text().split() == [str(os.getpid())] * len(kappas)
+        assert np.all(np.isfinite(scan.sse_trace_distances))
 
     def test_negative_seed_rejected_before_any_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
