@@ -115,17 +115,17 @@ def _complex_header(dim: int) -> list[str]:
     return cols
 
 
-def _run_lindblad(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_lindblad(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     rhos = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
     cols = [grid.times(), np.array([rho.entries.ravel() for rho in rhos]).view(float)]
-    _write_csv(out / "trajectory.csv", ["t"] + _complex_header(model.dim), cols)
+    write("trajectory.csv", ["t"] + _complex_header(model.dim), cols)
     purity = float(np.trace(rhos[-1].entries @ rhos[-1].entries).real)
     return {"final_purity": purity, "n_output_states": len(rhos)}
 
 
-def _run_chm(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_chm(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     if cfg.record_file is not None:
         try:
             text = Path(cfg.record_file).read_text(encoding="utf-8")
@@ -141,27 +141,27 @@ def _run_chm(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     a_col = np.concatenate([record.values[:1], record.values])
     header = ["t", "a", "log_norm"] + [c for i in range(model.dim) for c in (f"re_{i}", f"im_{i}")]
     cols = [record.grid.times(), a_col, logs, amps.view(float)]
-    _write_csv(out / "selective_run.csv", header, cols)
+    write("selective_run.csv", header, cols)
     log_density = 2.0 * logs[-1] + reference_log_weight(record, cfg.kappa)
     return {"final_log_norm": float(logs[-1]), "log_density": float(log_density)}
 
 
-def _run_sse_ensemble(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_sse_ensemble(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     expects, dists = compare_to_master(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
     header = ["t", "expect_A", "trace_distance_lindblad"]
-    _write_csv(out / "ensemble.csv", header, [grid.times(), expects, dists])
+    write("ensemble.csv", header, [grid.times(), expects, dists])
     return {"n_traj": cfg.n_traj, "max_trace_distance": float(np.max(dists))}
 
 
-def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_chain(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
     n = cfg.n_shots
     header = ["shot", "a"] + [f"pop_{i}" for i in range(cfg.a.dim)]
     cols = [np.arange(1, n + 1), first.readouts[:n], first.populations[1 : n + 1]]
-    _write_csv(out / "chain.csv", header, cols)
+    write("chain.csv", header, cols)
     collapsed, _, _ = run_chain_ensemble(
         k, cfg.psi0, cfg.n_shots, cfg.n_chains, cfg.seed, cfg.collapse_threshold, workers
     )
@@ -175,14 +175,14 @@ def _run_chain(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     }
 
 
-def _run_zeno(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_zeno(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.zeno_kappas[0])
     scan = run_zeno_scan(
         system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed, workers=workers
     )
     header = ["kappa", "transfer_probability", "sse_trace_distance"]
     cols = [scan.kappa_values, scan.transfer_probabilities, scan.sse_trace_distances]
-    _write_csv(out / "zeno_scan.csv", header, cols)
+    write("zeno_scan.csv", header, cols)
     return {
         "kappa_values": list(scan.kappa_values),
         "transfer_probabilities": list(scan.transfer_probabilities),
@@ -190,7 +190,7 @@ def _run_zeno(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     }
 
 
-def _run_rabi(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_rabi(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
     traj, spectrum = run_rabi_monitor(system, grid.duration, grid.dt, cfg.seed)
@@ -201,8 +201,8 @@ def _run_rabi(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
         search_bins=cfg.search_bins,
         band_bins=cfg.band_bins,
     )
-    _write_csv(out / "record.csv", ["t", "a"], [traj.grid.midpoints(), traj.record.values])
-    _write_csv(out / "spectrum.csv", ["frequency", "power"], [spectrum])
+    write("record.csv", ["t", "a"], [traj.grid.midpoints(), traj.record.values])
+    write("spectrum.csv", ["frequency", "power"], [spectrum])
     return {
         "peak_frequency": stats.peak_frequency,
         "offset_bins": stats.offset_bins,
@@ -212,7 +212,7 @@ def _run_rabi(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     }
 
 
-def _run_transition(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_transition(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
     initial = system.ground_state() if cfg.initial == "ground" else system.excited_state()
@@ -227,7 +227,7 @@ def _run_transition(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dic
     )
     traj = result.trajectory
     cols = [traj.grid.midpoints(), traj.record.values, result.smoothed_record]
-    _write_csv(out / "record.csv", ["t", "a_raw", "a_smoothed"], cols)
+    write("record.csv", ["t", "a_raw", "a_smoothed"], cols)
     return {
         "detected_times": list(result.detected_times),
         "n_detected": len(result.detected_times),
@@ -236,10 +236,10 @@ def _run_transition(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dic
     }
 
 
-def _run_verify(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
+def _run_verify(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
     results = run_all_checks()
     rows = [(r.name, "pass" if r.passed else "fail", r.detail) for r in results]
-    _write_csv(out / "checks.csv", ["check", "status", "detail"], list(zip(*rows)))
+    write("checks.csv", ["check", "status", "detail"], list(zip(*rows)))
     for r in results:
         if not quiet:
             print(r.line())
@@ -250,8 +250,8 @@ def _run_verify(cfg: RunConfig, out: Path, workers: int, quiet: bool) -> dict:
     }
 
 
-# scenario -> runner(cfg, out, workers, quiet), which writes the CSV tables
-# and returns the summary headline
+# scenario -> runner(cfg, write, workers, quiet), which writes its CSV tables
+# by write(name, header, columns) and returns the summary headline
 _RUNNERS = {
     "lindblad": _run_lindblad,
     "chm": _run_chm,
@@ -273,19 +273,24 @@ def dispatch(cfg: RunConfig, out_dir: str | None, workers: int, quiet: bool = Fa
     except OSError as exc:
         print(f"error: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
         return 1
+    written = []  # the summary lists this run's tables, not older files in ``out``
+
+    def write(name: str, header: list[str], columns) -> None:
+        _write_csv(out / name, header, columns)
+        written.append(name)
+
     try:
-        headline = _RUNNERS[cfg.scenario](cfg, out, workers, quiet)
+        headline = _RUNNERS[cfg.scenario](cfg, write, workers, quiet)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except QmeasError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    outputs = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
-    _write_summary(out, cfg, headline, outputs)
+    _write_summary(out, cfg, headline, written)
     if not quiet:
         brief = ", ".join(f"{k}={v}" for k, v in list(_json_ready(headline).items())[:3])
-        print(f"{cfg.scenario}: wrote {len(outputs)} csv file(s) to {out} ({brief})")
+        print(f"{cfg.scenario}: wrote {len(written)} csv file(s) to {out} ({brief})")
     return 2 if headline.get("n_failed") else 0
 
 

@@ -160,7 +160,7 @@ def run_zeno_scan(
     if n_traj > 0:
         # the exact propagators (and scipy's import) run while the pool steps
         sums, exact = ensemble_sums(ensembles, workers, local=exact_states)
-        for i, (rho_sum, _) in enumerate(sums):
+        for i, rho_sum in enumerate(sums):
             distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), exact[i])
     else:
         exact = exact_states()

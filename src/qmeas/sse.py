@@ -25,12 +25,13 @@ intensity is 1/(4 kappa).
 Randomness is counter-based: trajectory i uses a Philox stream keyed by
 seed_base + i, with Gaussian variates drawn by numpy's standard_normal. A
 trajectory is bit-reproducible from its seed alone, independent of batch
-composition and worker scheduling. Ensemble sums are taken over fixed chunks
-of 64 trajectories: each contiguous share of chunks is stepped together in
-one time loop, and the per-chunk sums are still reduced in chunk order. A
-share's projector sums are taken on its d-major states (see below) by the
-einsum of a (batch, d) layout with its operands' axes permuted, which keeps
-the order of the sum over the batch, so no (batch, d) copy is made.
+composition and worker scheduling. An ensemble returns projector sums only,
+taken over fixed chunks of 64 trajectories: each contiguous share of chunks
+is stepped together in one time loop, and the per-chunk sums are still
+reduced in chunk order. A share's projector sums are taken on its d-major
+states (see below) by the einsum of a (batch, d) layout with its operands'
+axes permuted, which keeps the order of the sum over the batch, so no
+(batch, d) copy is made.
 
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
@@ -281,17 +282,16 @@ def _run_batch(
     """Advance a batch of trajectories in one time loop; returns (history,
     records, projector sums). Without ``store_every``, a trajectory run:
     history (batch, n+1, dim), records (batch, n) and no sums. With it, an
-    ensemble share: no history, record sums per chunk of CHUNK seeds (chunks,
-    n), and projector sums per chunk at ``grid.stored_nodes(store_every)``
-    (chunks, nodes, dim, dim). A chunk's sums add its trajectories in seed
-    order, so they are the same bits in any batch. The time loop steps d-major
-    states (dim, batch), and _projector_sums reads them in that layout.
+    ensemble share: neither history nor records, only projector sums per
+    chunk of CHUNK seeds at ``grid.stored_nodes(store_every)`` (chunks, nodes,
+    dim, dim). A chunk's sums add its trajectories in seed order, so they are
+    the same bits in any batch. The time loop steps d-major states (dim,
+    batch), and _projector_sums reads them in that layout.
     """
     b = len(seeds)
     d = model.dim
     n = grid.n_steps
     dt = grid.dt
-    n_chunks = -(-b // CHUNK)
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
     psi, spare = np.repeat(psi0.amplitudes[:, None], b, axis=1), np.empty((d, b), complex)
     if store_every is None:
@@ -300,8 +300,8 @@ def _run_batch(
         hist, recs = np.empty((n + 1, d, b), dtype=complex), np.empty((b, n))
         hist[0] = psi
     else:
-        nodes, hist, recs = grid.stored_nodes(store_every), None, np.empty((n_chunks, n))
-        sums = np.empty((n_chunks, len(nodes), d, d), dtype=complex)
+        nodes, hist, recs = grid.stored_nodes(store_every), None, None
+        sums = np.empty((-(-b // CHUNK), len(nodes), d, d), dtype=complex)
         _projector_sums(psi, sums[:, 0])
     # the next kept node and its row of sums; past the grid when none is left
     pending = iter(enumerate(nodes[1:], start=1))
@@ -320,8 +320,6 @@ def _run_batch(
         for gen, dw in zip(gens, dws):
             dw[...] = gen.standard_normal(m)
         dws *= np.sqrt(dt)
-        block = recs[:, start:stop] if hist is not None else np.empty((b, m))
-        np.multiply(dws, rec_scale, out=block)
         noise = _noise(model.kappa, dws.T, noises[:m])
         with np.errstate(all="ignore"):
             for k in range(m):
@@ -333,9 +331,10 @@ def _run_batch(
                     _projector_sums(psi, sums[:, row])
                     row, next_node = next(pending, (0, n + 1))
         _check_norms(norms[:m])
-        np.add(exps[:m].T, block, out=block)
-        if hist is None:
-            _by_chunk(block, lambda g: g.sum(axis=1), recs[:, start:stop])
+        if recs is not None:
+            block = recs[:, start:stop]
+            np.multiply(dws, rec_scale, out=block)
+            np.add(exps[:m].T, block, out=block)
     if hist is not None:  # the (batch, n+1, d) C layout callers read; no copy at batch 1
         hist = np.ascontiguousarray(hist.transpose(2, 0, 1))
     return hist, recs, sums
@@ -359,12 +358,11 @@ def simulate_trajectory(
     )
 
 
-def _chunk_task(args) -> tuple[np.ndarray, np.ndarray]:
-    """Pool task: per-chunk (projector sums at the stored nodes, record sums)
-    of one share of seeds."""
+def _chunk_task(args) -> np.ndarray:
+    """Pool task: the per-chunk projector sums at the stored nodes of one
+    share of seeds, (chunks, nodes, d, d)."""
     model, psi0, grid, store_every, seeds = args
-    _, rec_sums, sums = _run_batch(model, psi0, grid, seeds, store_every)
-    return sums, rec_sums
+    return _run_batch(model, psi0, grid, seeds, store_every)[2]
 
 
 def _share_cuts(jobs: list[tuple[int, int]], workers: int) -> list[list[int]]:
@@ -432,17 +430,17 @@ def fold_chunks(shares) -> np.ndarray:
     return total
 
 
-def ensemble_sums(
-    ensembles, workers: int = 1, local=None
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], object]:
-    """The sums of ensemble_accumulate for each of ``ensembles``, tuples of
-    its arguments (model, psi0, grid, n_traj, seed_base, store_every), all
-    run by one map_shares call: every input is checked before any fork, and
-    the shares of all ensembles share one pool. Each ensemble's chunk sums
-    are folded in chunk order, so the bits do not depend on the worker count
-    or on the other ensembles. Returns (a list of (projector sums, record
-    sums), one per ensemble, the result of ``local``): map_shares runs
-    ``local`` while the pool runs the shares."""
+def ensemble_sums(ensembles, workers: int = 1, local=None) -> tuple[list[np.ndarray], object]:
+    """The projector sums of each of ``ensembles``, tuples (model, psi0,
+    grid, n_traj, seed_base, store_every), kept at
+    ``grid.stored_nodes(store_every)``, the nodes integrate_lindblad stores; a
+    kept node's sums have the same bits for any ``store_every``. All
+    ensembles run by one map_shares call: every input is checked before any
+    fork, and the shares of all ensembles share one pool. Each ensemble's
+    chunk sums are folded in chunk order, so the bits do not depend on the
+    worker count or on the other ensembles. Returns (a list of projector sums
+    (nodes, d, d), one per ensemble, the result of ``local``): map_shares
+    runs ``local`` while the pool runs the shares."""
     jobs = []
     for model, psi0, grid, n_traj, seed_base, store_every in ensembles:
         if model.dim != psi0.dim:
@@ -456,8 +454,7 @@ def ensemble_sums(
         seeds = range(seed_base, seed_base + n_traj)
         jobs.append(((model, psi0, grid, store_every), seeds, grid.n_steps))
     shares, mine = map_shares(_chunk_task, jobs, workers, local)
-    folded = [tuple(fold_chunks(part) for part in zip(*parts)) for parts in shares]
-    return folded, mine
+    return [fold_chunks(parts) for parts in shares], mine
 
 
 def ensemble_accumulate(
@@ -467,20 +464,15 @@ def ensemble_accumulate(
     n_traj: int,
     seed_base: int,
     workers: int = 1,
-    store_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of trajectory projectors at the kept grid nodes and of records
-    per step.
+) -> np.ndarray:
+    """Sums of trajectory projectors at every grid node, (n_steps + 1, d, d).
 
-    The projector sums are kept at ``grid.stored_nodes(store_every)``, the
-    nodes integrate_lindblad stores; a kept node's sums have the same bits
-    for any ``store_every``. Trajectories run in fixed chunks of CHUNK, cut
-    into min(workers, chunks) contiguous, balanced shares (map_shares), each
-    stepped in one time loop; chunk partial sums are combined in chunk order,
-    so the result is identical for any worker count. Returns (projector sums
-    (nodes, d, d), record sums (n,)).
+    Trajectories run in fixed chunks of CHUNK, cut into min(workers, chunks)
+    contiguous, balanced shares (map_shares), each stepped in one time loop;
+    chunk partial sums are combined in chunk order, so the result is
+    identical for any worker count (see ensemble_sums).
     """
-    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base, store_every)], workers)
+    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base, 1)], workers)
     return sums
 
 
@@ -515,7 +507,7 @@ def ensemble_average(
     node; trajectory i uses seed seed_base + i. Deterministic for fixed
     (n_traj, seed_base) regardless of execution order. With n_traj = 1 the
     result degenerates to the projector sequence of that single trajectory."""
-    rho_sum, _ = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
+    rho_sum = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
     means, lows = mean_states(rho_sum, n_traj)
     mean = tuple(DensityMatrix(m, _min_eigenvalue=lo) for m, lo in zip(means, lows))
     return EnsembleSummary(n_traj=n_traj, mean_rho=mean, seed_base=seed_base, grid=grid)
@@ -538,7 +530,7 @@ def compare_to_master(
     and compared as one (nodes, d, d) stack. The values are the bits of
     ensemble_average's states, ``np.trace(A @ M).real`` and trace_distance
     node by node, for any worker count."""
-    [(rho_sum, _)], ref = ensemble_sums(
+    [rho_sum], ref = ensemble_sums(
         [(model, psi0, grid, n_traj, seed_base, 1)],
         workers,
         local=lambda: integrate_lindblad(model, DensityMatrix.from_state(psi0), grid),

@@ -262,13 +262,14 @@ def check_weak_series_universality() -> CheckResult:
 
 
 def check_reproducibility() -> CheckResult:
-    """Identical seeds give bit-identical ensembles regardless of worker count."""
+    """Identical seeds give bit-identical ensembles regardless of worker count:
+    the every-node projector sums, all that an ensemble returns."""
     h, a, kappa = pauli_x(), pauli_z(), 0.5
     grid = TimeGrid(0.0, 1e-3, 200)
     model = MonitoringModel(h, a, kappa)
-    first, rec1 = ensemble_accumulate(model, plus_state(), grid, 130, seed_base=7, workers=1)
-    second, rec2 = ensemble_accumulate(model, plus_state(), grid, 130, seed_base=7, workers=2)
-    same = np.array_equal(first, second) and np.array_equal(rec1, rec2)
+    first = ensemble_accumulate(model, plus_state(), grid, 130, seed_base=7, workers=1)
+    second = ensemble_accumulate(model, plus_state(), grid, 130, seed_base=7, workers=2)
+    same = np.array_equal(first, second)
     return CheckResult(
         "reproducibility",
         same,

@@ -584,6 +584,19 @@ class TestDispatch:
         lines = (out / "record.csv").read_text().splitlines()
         assert lines[0] == "t,a_raw,a_smoothed"
 
+    def test_summary_lists_only_the_tables_of_its_run(self, tmp_path):
+        # a transition run into a rabi-monitor run's directory writes
+        # record.csv alone; spectrum.csv is left from the earlier run
+        cfg, out = tmp_path / "run.cfg", tmp_path / "shared"
+        rabi = "[run]\nscenario = rabi-monitor\nseed = 1\n[model]\nkappa = 0.05\n"
+        transition = "[run]\nscenario = transition\nseed = 10\n[model]\nkappa = 4.0\n"
+        runs = [(rabi, 20000, ["record.csv", "spectrum.csv"]), (transition, 5000, ["record.csv"])]
+        for text, n_steps, outputs in runs:
+            cfg.write_text(f"{text}[grid]\ndt = 0.001\nn_steps = {n_steps}\n", encoding="utf-8")
+            assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            assert json.loads((out / "summary.json").read_text())["outputs"] == outputs
+        assert (out / "spectrum.csv").exists()
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("config_text,name", [(SMALL_SSE, "sse"), (SMALL_ZENO, "zeno")])
@@ -622,7 +635,7 @@ def _per_node_ensemble_csv(path, text):
     so that the stacked pass over the mean states is held to it."""
     cfg = parse_config(text)
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
-    rho_sum, _ = ensemble_accumulate(model, cfg.psi0, cfg.grid, cfg.n_traj, cfg.seed)
+    rho_sum = ensemble_accumulate(model, cfg.psi0, cfg.grid, cfg.n_traj, cfg.seed)
     ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), cfg.grid)
     expects, dists = [], []
     for s, r in zip(rho_sum, ref):

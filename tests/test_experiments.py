@@ -18,7 +18,7 @@ from qmeas.experiments import (
 from qmeas.hilbert import DensityMatrix, trace_distance
 from qmeas.lindblad import integrate_lindblad, lindblad_exact
 from qmeas.readout import TimeGrid
-from qmeas.sse import _run_batch, _share_cuts, ensemble_accumulate
+from qmeas.sse import _run_batch, _share_cuts, ensemble_accumulate, ensemble_sums
 
 
 def soft_system(kappa=0.04):
@@ -55,7 +55,7 @@ class TestZenoScan:
             model, t_flip = sys_k.monitoring_model(), np.pi / sys_k.rabi
             rho = lindblad_exact(model, DensityMatrix.from_state(sys_k.ground_state()), t_flip)
             grid = _scan_grid(sys_k, t_flip)
-            rho_sum, _ = ensemble_accumulate(model, sys_k.ground_state(), grid, n_traj, seed)
+            rho_sum = ensemble_accumulate(model, sys_k.ground_state(), grid, n_traj, seed)
             assert rho_sum.shape == (grid.n_steps + 1, 2, 2)
             mean = rho_sum[-1] / n_traj
             transfers.append(rho.entries[0, 0].real)
@@ -273,9 +273,8 @@ class TestScenarioDeterminism:
         # the scan's internal cross-check, reproduced externally
         system = soft_system(1.0)
         grid = TimeGrid(0.0, 1e-3, 1000)
-        rho_sum, _ = ensemble_accumulate(
-            system.monitoring_model(), system.ground_state(), grid, 500, seed_base=2,
-            store_every=grid.n_steps,
+        [rho_sum], _ = ensemble_sums(
+            [(system.monitoring_model(), system.ground_state(), grid, 500, 2, grid.n_steps)]
         )
         ref = integrate_lindblad(
             system.lindblad_model(),
