@@ -186,20 +186,29 @@ def sliced_propagator(model: MonitoringModel, record: ReadoutRecord) -> PartialP
 
 
 def single_step_log_density(
-    model: MonitoringModel, a: float, dt: float, psi0: QuantumState
-) -> float:
+    model: MonitoringModel, a: float | np.ndarray, dt: float, psi0: QuantumState
+) -> float | np.ndarray:
     """Log readout density of a single constant-record slice, computed from
-    the exact one-slice product operator.
+    the exact one-slice product operator; for an array of readouts, one
+    value per readout, each the bits of its own call, from one slice kernel
+    and one exp(-i*H*dt).
 
     Integrated over a against the reference measure (which is already folded
     in) this density is normalized to 1 for any H, because the measurement
     factor resolves the identity and the unitary factor preserves norms.
     """
-    grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
-    r = FuzzySlice(model.A, model.kappa, dt).operator(a)
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("record value must be finite")
+    kernel = FuzzySlice(model.A, model.kappa, dt)
+    r = (kernel.q * kernel.factor(a)[..., None, :]) @ kernel.q.conj().T
     u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
-    n = float(np.linalg.norm(u @ (r @ psi0.amplitudes)))
-    return 2.0 * np.log(n) + reference_log_weight(constant_record(grid, a), model.kappa)
+    v = (u @ (r @ psi0.amplitudes)[..., None])[..., 0]
+    # the squared norm as np.linalg.norm forms it: real dot plus imaginary dot
+    re, im = v.real[..., None, :], v.imag[..., None, :]
+    sq = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
+    return 2.0 * np.log(np.sqrt(sq)) + reference_log_weight(constant_record(grid, 0.0), model.kappa)
 
 
 def _checked_slice(model: MonitoringModel, dt: float, quad_order: int) -> tuple[FuzzySlice, float]:

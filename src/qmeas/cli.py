@@ -266,12 +266,19 @@ _RUNNERS = {
 
 def dispatch(cfg: RunConfig, out_dir: str | None, workers: int, quiet: bool = False) -> int:
     """Run the configured scenario; returns the process exit status, 2 when a
-    headline reports failed checks."""
+    headline reports failed checks. An earlier run's ``summary.json`` in the
+    output directory is removed before the run and the new one is written
+    last, so after a run that raises there is no summary."""
     out = Path(out_dir if out_dir else (cfg.out or f"runs/{cfg.scenario}"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    try:
+        (out / "summary.json").unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"error: cannot remove {out / 'summary.json'}: {exc.strerror}", file=sys.stderr)
         return 1
     written = []  # the summary lists this run's tables, not older files in ``out``
 

@@ -132,9 +132,10 @@ def run_zeno_scan(
     n_traj > 0 a stochastic ensemble is run alongside and its agreement with
     the master equation is reported as a trace distance. The ensembles of all
     kappa run on one pool of ``workers`` processes (sse.ensemble_sums), each
-    kappa's share of the workers in proportion to its step count, the longest
-    grid first; the result does not depend on the worker count. The exact
-    propagators run in this process while the pool steps the trajectories.
+    kappa's share of the workers in proportion to its step count, in shares
+    of at least two chunks of trajectories, the longest grid first; the
+    result does not depend on the worker count. The exact propagators run
+    in this process while the pool steps the trajectories.
     """
     kappas = np.asarray(list(kappa_list), dtype=float)
     if kappas.size == 0 or np.any(kappas <= 0):

@@ -368,13 +368,19 @@ def _chunk_task(args) -> np.ndarray:
 def _share_cuts(jobs: list[tuple[int, int]], workers: int) -> list[list[int]]:
     """The cut points of each job, (seeds, steps), into contiguous, balanced
     shares of whole CHUNK-seed chunks. A job gets its part of ``workers`` by
-    step count, rounded, at least one share and at most one per chunk, so a
-    single job gets min(workers, chunks)."""
+    step count, rounded, at least one share and no share below two chunks,
+    so a single job gets max(1, min(workers, chunks // 2)) and a job of fewer
+    than four chunks runs whole. At d = 2 an SSE step of two chunks costs
+    little more than a step of one, so splitting them would spend CPU for no
+    shorter wall time. At d >= 4 such a step costs 1.4-1.9 times a one-chunk
+    step, and a fuzzy-chain shot 1.2-1.4 times, so there a job of two or
+    three chunks saves CPU but takes up to that factor longer in wall time
+    than it would split."""
     total = sum(steps for _, steps in jobs)
     cuts = []
     for n, steps in jobs:
         n_chunks = -(-n // CHUNK)
-        shares = max(1, min(n_chunks, round(workers * steps / total)))
+        shares = max(1, min(n_chunks // 2, round(workers * steps / total)))
         cuts.append([CHUNK * (n_chunks * i // shares) for i in range(shares)] + [n])
     return cuts
 
@@ -383,8 +389,10 @@ def map_shares(
     task, jobs: list[tuple[tuple, range, int]], workers: int, local=None
 ) -> tuple[list[list], object]:
     """For each job, (args, seeds, steps), the results of ``task((*args,
-    share))`` over its shares of seeds (see _share_cuts), in seed order;
-    returns (those lists, the result of ``local()``, or None without it).
+    share))`` over its shares of seeds, in seed order; returns (those lists,
+    the result of ``local()``, or None without it). _share_cuts cuts the
+    shares, none below two chunks, so a job of fewer than four chunks is one
+    share.
 
     The shares of all jobs run on one process pool of min(workers, shares)
     processes when that is two or more, else in this process; they are handed
@@ -467,8 +475,9 @@ def ensemble_accumulate(
 ) -> np.ndarray:
     """Sums of trajectory projectors at every grid node, (n_steps + 1, d, d).
 
-    Trajectories run in fixed chunks of CHUNK, cut into min(workers, chunks)
-    contiguous, balanced shares (map_shares), each stepped in one time loop;
+    Trajectories run in fixed chunks of CHUNK, cut into max(1, min(workers,
+    chunks // 2)) contiguous, balanced shares of at least two chunks
+    (map_shares), each stepped in one time loop;
     chunk partial sums are combined in chunk order, so the result is
     identical for any worker count (see ensemble_sums).
     """

@@ -16,6 +16,7 @@ from qmeas.verify import (
     check_generalized_unitarity,
     check_marginalization_equivalence,
     check_rabi_visualization,
+    check_reproducibility,
     check_slicing_convergence,
     check_sse_lindblad_equivalence,
     check_weak_series_universality,
@@ -107,3 +108,9 @@ def test_criterion_10_reproducibility(tmp_path, workers):
         ).line()
     )
     assert identical
+
+
+def test_criterion_10_reproducibility_across_worker_counts(counted_pools):
+    report(check_reproducibility())
+    # its workers=2 run splits the ensemble into two shares on a pool of two
+    assert counted_pools == [[2, 2]]

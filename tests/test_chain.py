@@ -401,18 +401,20 @@ class TestAgainstFrozenBatch:
 
 
 class TestEnsembleWorkers:
-    def test_bits_do_not_depend_on_worker_count(self):
-        # 150 chains: two full chunks and a partial one, alone in a share at 3 workers
+    def test_bits_do_not_depend_on_worker_count(self, counted_pools):
+        # 400 chains: six full chunks and a partial one, in two shares at 2
+        # workers and three at 3
         k, psi0 = _random_case(3, 11, 0.3)
-        runs = [run_chain_ensemble(k, psi0, 200, 150, 40, 1e-3, workers=w) for w in (1, 2, 3)]
+        runs = [run_chain_ensemble(k, psi0, 200, 400, 40, 1e-3, workers=w) for w in (1, 2, 3)]
         for got in runs[1:]:
             for x, y in zip(got, runs[0]):
                 assert _same_bits(x, y)
-        # 65 chains at 2 workers: a share of one chain
-        one, two = (run_chain_ensemble(k, psi0, 200, 65, 40, 1e-3, workers=w) for w in (1, 2))
+        # 257 chains at 2 workers: the second share ends in a chunk of one chain
+        one, two = (run_chain_ensemble(k, psi0, 200, 257, 40, 1e-3, workers=w) for w in (1, 2))
         for x, y in zip(one, two):
             assert _same_bits(x, y)
-        ref = _reference_ensemble(k, psi0, 200, 150, 40, 1e-3)
+        assert counted_pools == [[2, 2], [3, 3], [2, 2]]
+        ref = _reference_ensemble(k, psi0, 200, 400, 40, 1e-3)
         assert _same_bits(runs[0][0], ref[0]) and _same_bits(runs[0][1], ref[1])
         assert np.max(np.abs(runs[0][2] - ref[2])) <= 1e-13
 
@@ -429,16 +431,18 @@ class TestEnsembleWorkers:
         with pytest.raises(ValidationError, match=message):
             run_chain_ensemble(k, psi0, 10, n_chains, seed_base, workers=2)
 
-    def test_cli_files_do_not_depend_on_worker_count(self, tmp_path):
+    def test_cli_files_do_not_depend_on_worker_count(self, tmp_path, counted_pools):
+        # 260 chains: four full chunks and a partial one, two shares at 2 workers
         cfg = tmp_path / "chain.cfg"
         cfg.write_text(
             "[run]\nscenario = chain\nseed = 77\n[model]\na = 0 0 0 ; 0 1 0 ; 0 0 3\n"
-            "psi0 = 0.6 0.48 0.64\n[chain]\nstrength = 0.3\nn_shots = 120\nn_chains = 150\n",
+            "psi0 = 0.6 0.48 0.64\n[chain]\nstrength = 0.3\nn_shots = 120\nn_chains = 260\n",
             encoding="utf-8",
         )
         outs = [tmp_path / f"w{w}" for w in (1, 2)]
         for w, out in zip((1, 2), outs):
             assert main(["--config", str(cfg), "--out", str(out), "--workers", str(w), "--quiet"]) == 0
+        assert counted_pools == [[2, 2]]
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == ["chain.csv", "summary.json"]
         assert names == sorted(p.name for p in outs[1].iterdir())

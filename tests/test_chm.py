@@ -340,6 +340,10 @@ class TestExpmRouting:
         assert single_step_log_density(model, a, dt, psi0) == _reference_single_step(
             model, a, dt, psi0
         )
+        # an array of readouts gives each readout the bits of its own call
+        many = single_step_log_density(model, rec.values, dt, psi0)
+        one_by_one = [_reference_single_step(model, float(x), dt, psi0) for x in rec.values]
+        assert many.tobytes() == np.array(one_by_one).tobytes()
         out = marginalize_readouts(model, rho0, grid, 40)
         ref = _reference_marginalized(model, rho0, grid, 40)
         assert len(out) == len(ref) == n_steps + 1
@@ -609,5 +613,5 @@ class TestUnitarityAndMarginalization:
         psi0 = QuantumState(np.array([0.6, 0.8], dtype=complex))
         half_width = 1.0 + 8.0 / np.sqrt(2 * model.kappa * dt)
         aa = np.linspace(-half_width, half_width, 4001)
-        dens = np.array([np.exp(single_step_log_density(model, float(a), dt, psi0)) for a in aa])
+        dens = np.exp(single_step_log_density(model, aa, dt, psi0))
         assert float(np.trapezoid(dens, aa)) == pytest.approx(1.0, abs=1e-6)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qmeas import cli
 from qmeas.cli import dispatch, main
 from qmeas.config import KEYS, parse_config
-from qmeas.errors import ConfigError
+from qmeas.errors import ConfigError, IntegrationError, ValidationError
 from qmeas.hilbert import DensityMatrix, trace_distance
 from qmeas.lindblad import MonitoringModel, integrate_lindblad
 from qmeas.readout import parse_record
@@ -597,6 +597,58 @@ class TestDispatch:
             assert json.loads((out / "summary.json").read_text())["outputs"] == outputs
         assert (out / "spectrum.csv").exists()
 
+    def test_a_failed_run_leaves_no_summary(self, tmp_path):
+        # the second run's dt trips the positivity abort; the first run's
+        # summary must not stay behind as if it were the second's
+        cfg, out = tmp_path / "run.cfg", tmp_path / "shared"
+        args = ["--config", str(cfg), "--out", str(out), "--quiet"]
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 20\n", encoding="utf-8")
+        assert main(args) == 0
+        first = (out / "summary.json").read_bytes()
+        cfg.write_text(_LIN + "kappa = 100\n[grid]\ndt = 0.05\nn_steps = 20\n", encoding="utf-8")
+        assert main(args) == 2
+        assert not (out / "summary.json").exists()
+        # and a successful run writes the same summary as into a fresh directory
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 20\n", encoding="utf-8")
+        assert main(args) == 0
+        assert (out / "summary.json").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "error,code", [(IntegrationError("stub diverged"), 2), (ValidationError("stub rejected"), 1)]
+    )
+    def test_a_run_failing_after_its_first_table_leaves_no_summary(
+        self, tmp_path, monkeypatch, error, code
+    ):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "shared"
+        args = ["--config", str(cfg), "--out", str(out), "--quiet"]
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 20\n", encoding="utf-8")
+        assert main(args) == 0
+
+        def stub(cfg, write, workers, quiet):
+            write("first.csv", ["x"], [np.arange(3)])
+            raise error
+
+        monkeypatch.setitem(cli._RUNNERS, "lindblad", stub)
+        assert main(args) == code
+        assert (out / "first.csv").exists() and not (out / "summary.json").exists()
+
+    def test_failed_checks_still_write_their_summary(self, tmp_path, monkeypatch):
+        # verify's exit 2 reports a finished run whose checks failed
+        cfg, out = tmp_path / "run.cfg", tmp_path / "checks"
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 20\n", encoding="utf-8")
+        monkeypatch.setitem(cli._RUNNERS, "lindblad", lambda *args: {"n_failed": 1})
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+        assert json.loads((out / "summary.json").read_text())["headline"] == {"n_failed": 1}
+
+    def test_summary_that_cannot_be_removed_exit_code(self, tmp_path, capsys):
+        cfg, out = tmp_path / "lin.cfg", tmp_path / "out"
+        cfg.write_text(_LIN + "[grid]\ndt = 0.01\nn_steps = 5\n", encoding="utf-8")
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot remove {out / 'summary.json'}: ")
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
 
 class TestReproducibility:
     @pytest.mark.parametrize("config_text,name", [(SMALL_SSE, "sse"), (SMALL_ZENO, "zeno")])
@@ -610,9 +662,12 @@ class TestReproducibility:
         for f in files1:
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
-    def test_byte_identical_across_workers(self, tmp_path):
-        rc1, out1 = run_cli(tmp_path, "w1", SMALL_SSE, "--workers", "1")
-        rc2, out2 = run_cli(tmp_path, "w3", SMALL_SSE, "--workers", "3")
+    def test_byte_identical_across_workers(self, tmp_path, counted_pools):
+        # 260 trajectories: five chunks, the last partial, two shares at 3 workers
+        text = SMALL_SSE.replace("n_traj = 80", "n_traj = 260")
+        rc1, out1 = run_cli(tmp_path, "w1", text, "--workers", "1")
+        rc2, out2 = run_cli(tmp_path, "w3", text, "--workers", "3")
+        assert counted_pools == [[2, 2]]
         assert rc1 == rc2 == 0
         for f in sorted(p.name for p in out1.iterdir()):
             assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
@@ -651,10 +706,12 @@ class TestEnsembleAgainstMaster:
     # the three-level run starts in |+>: |0> is an eigenstate of its A
     @pytest.mark.parametrize("model", ["two-level", "three-level\npsi0 = plus"])
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_csv_is_the_per_node_loop(self, tmp_path, model, workers):
-        text = SMALL_SSE.replace("two-level", model).replace("n_traj = 80", "n_traj = 130")
+    def test_csv_is_the_per_node_loop(self, tmp_path, model, workers, counted_pools):
+        # 260 trajectories: five chunks, the last partial, two shares at 2 workers
+        text = SMALL_SSE.replace("two-level", model).replace("n_traj = 80", "n_traj = 260")
         rc, out = run_cli(tmp_path, model[:5], text, "--workers", workers)
         assert rc == 0
+        assert counted_pools == ([[2, 2]] if workers == "2" else [])
         worst = _per_node_ensemble_csv(tmp_path / "per_node.csv", text)
         assert (out / "ensemble.csv").read_bytes() == (tmp_path / "per_node.csv").read_bytes()
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))

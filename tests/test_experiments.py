@@ -63,26 +63,16 @@ class TestZenoScan:
         assert scan.transfer_probabilities.tobytes() == np.clip(transfers, 0.0, 1.0).tobytes()
         assert scan.sse_trace_distances.tobytes() == np.array(distances).tobytes()
 
-    def test_one_pool_and_the_same_bits_at_any_worker_count(self, monkeypatch):
+    def test_one_pool_and_the_same_bits_at_any_worker_count(self, counted_pools):
         # kappa = 100 has most of the steps, so it is split into two shares at
-        # 2 workers and three at 3, the others run whole; 130 trajectories end
-        # in a partial chunk. All shares of the scan run on one pool.
-        import concurrent.futures
-
-        real, pools = concurrent.futures.ProcessPoolExecutor, []
-
-        class CountedPool(real):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs["max_workers"])
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
+        # 2 workers and three at 3, the others run whole; 400 trajectories are
+        # seven chunks, the last partial. All shares of the scan run on one pool.
         system, kappas = DrivenTwoLevel(2.0, 4.0, 1.0), [0.5, 5.0, 100.0]
         scans = {}
-        for workers, made in ((1, []), (2, [2]), (3, [3])):
-            pools.clear()
-            scans[workers] = run_zeno_scan(system, kappas, n_traj=130, seed=21, workers=workers)
-            assert pools == made, workers
+        for workers, made in ((1, []), (2, [[2, 4]]), (3, [[3, 5]])):
+            counted_pools.clear()
+            scans[workers] = run_zeno_scan(system, kappas, n_traj=400, seed=21, workers=workers)
+            assert counted_pools == made, workers
         for workers in (2, 3):
             scan, one = scans[workers], scans[1]
             assert scan.transfer_probabilities.tobytes() == one.transfer_probabilities.tobytes()
@@ -115,10 +105,13 @@ class TestZenoScan:
 
     def test_bench_grids_share_the_workers_by_step_count(self):
         # kappa = 100 has about three quarters of the steps, so at 2 workers
-        # it gets both, and each other kappa runs whole
+        # it gets both, and each other kappa runs whole; at 128 trajectories,
+        # two chunks, it runs whole too, since no share is below two chunks
         grids = [_scan_grid(soft_system(kappa), np.pi) for kappa in (0.1, 1.0, 10.0, 100.0)]
         cuts = _share_cuts([(128, g.n_steps) for g in grids], 2)
-        assert cuts == [[0, 128], [0, 128], [0, 128], [0, 64, 128]]
+        assert cuts == [[0, 128], [0, 128], [0, 128], [0, 128]]
+        cuts = _share_cuts([(400, g.n_steps) for g in grids], 2)
+        assert cuts == [[0, 400], [0, 400], [0, 400], [0, 192, 400]]
 
     def test_kappa_list_validation(self):
         with pytest.raises(ValidationError):

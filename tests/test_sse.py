@@ -23,6 +23,7 @@ from qmeas.hilbert import (
 from qmeas.lindblad import LindbladModel, integrate_lindblad
 from qmeas.readout import TimeGrid
 from qmeas.sse import (
+    CHUNK,
     _chunk_task,
     _noise,
     _projector_sums,
@@ -233,23 +234,46 @@ class TestEnsemble:
         noise_sigma = np.sqrt(1.0 / (4 * kappa * grid.dt) / n_traj)
         assert np.max(np.abs(mean_rec - expect_ref)) <= 5 * noise_sigma
 
-    def test_workers_and_chunking_do_not_change_results(self):
+    def test_workers_and_chunking_do_not_change_results(self, counted_pools):
+        # 400 trajectories are seven chunks, the last partial: three shares
+        # at 3 workers, on one pool
         model = dephasing_model(kappa=0.5, h=pauli_x())
         grid = TimeGrid(0.0, 1e-3, 120)
-        one = ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=9, workers=1)
-        two = ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=9, workers=3)
+        one = ensemble_accumulate(model, plus_state(2), grid, 400, seed_base=9, workers=1)
+        two = ensemble_accumulate(model, plus_state(2), grid, 400, seed_base=9, workers=3)
+        assert counted_pools == [[3, 3]]
         assert _same_bits(one, two)
 
-    @pytest.mark.parametrize("n_seeds", [1, 63, 64, 65, 128, 130, 150, 1000, 2000])
+    @pytest.mark.parametrize(
+        "n_seeds", [1, 63, 64, 65, 128, 130, 150, 192, 255, 256, 257, 400, 1000, 2000]
+    )
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
     def test_one_job_keeps_one_share_per_worker(self, n_seeds, workers):
-        # a single ensemble or chain ensemble is cut into min(workers, chunks)
-        # balanced shares of whole chunks, for any step count
+        # a single ensemble or chain ensemble is cut into one balanced share
+        # of whole chunks per worker, none below two chunks, for any step count
         n_chunks = -(-n_seeds // 64)
-        shares = min(workers, n_chunks)
+        shares = max(1, min(workers, n_chunks // 2))
         cuts = [64 * (n_chunks * i // shares) for i in range(shares)] + [n_seeds]
         for steps in (1, 2000):
             assert _share_cuts([(n_seeds, steps)], workers) == [cuts]
+
+    @given(
+        jobs=st.lists(st.tuples(st.integers(1, 5000), st.integers(1, 50_000)), min_size=1, max_size=8),
+        workers=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_share_below_two_chunks(self, jobs, workers):
+        cuts = _share_cuts(jobs, workers)
+        assert len(cuts) == len(jobs)
+        for (n, _), c in zip(jobs, cuts):
+            assert c[0] == 0 and c[-1] == n
+            assert all(lo < hi for lo, hi in zip(c, c[1:]))
+            assert all(cut % CHUNK == 0 for cut in c[1:-1])
+            assert len(c) - 1 <= workers
+            if -(-n // CHUNK) < 4:
+                assert c == [0, n]
+            else:  # a share's chunks, its partial last one included
+                assert all(-(-hi // CHUNK) - lo // CHUNK >= 2 for lo, hi in zip(c, c[1:]))
 
     def test_trajectory_identical_inside_and_outside_ensemble(self):
         model = dephasing_model(kappa=0.5, h=pauli_x())
@@ -347,7 +371,8 @@ def _random_hermitian(rng, dim, evals):
 class TestAgainstPerChunkReference:
     # 257 steps is not a multiple of the 256-step draw block
     @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("n_traj", [1, 64, 65, 150])
+    # 257 trajectories end in a chunk of one and are two shares at 2 and 3 workers
+    @pytest.mark.parametrize("n_traj", [1, 64, 65, 150, 257])
     def test_ensemble_bits(self, dim, n_traj):
         model, psi0 = _reference_case(dim)
         for n_steps in (1, 257):
@@ -539,9 +564,10 @@ class TestLocal:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_runs_once_in_this_process(self, workers):
+        # 260 seeds are five chunks, so two shares at 2 and 3 workers
         calls = []
         model, grid = dephasing_model(h=pauli_x()), TimeGrid(0.0, 1e-3, 20)
-        ensemble = (model, plus_state(2), grid, 130, 4, 1)
+        ensemble = (model, plus_state(2), grid, 260, 4, 1)
         [sums], mine = ensemble_sums([ensemble], workers, local=lambda: calls.append(os.getpid()))
         assert calls == [os.getpid()] and mine is None
         [alone], nothing = ensemble_sums([ensemble], workers)
@@ -556,7 +582,7 @@ class TestLocal:
             calls.append(None)
             raise ValidationError("local failed")
 
-        jobs = [((), range(130), 10)]
+        jobs = [((), range(260), 10)]
         with pytest.raises(IntegrationError, match="share of .* seeds failed"):
             map_shares(_failing_share, jobs, workers, local)
         # without a pool local runs after the shares, so not at all here
@@ -571,8 +597,11 @@ class TestLocal:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         calls = []
-        shares, mine = map_shares(_size, [((), range(64), 10)], 4, lambda: calls.append(None) or 7)
-        assert shares == [[64]] and mine == 7 and len(calls) == 1
+        # three chunks are one share, as one chunk is
+        for n in (64, 150):
+            shares, mine = map_shares(_size, [((), range(n), 10)], 4, lambda: calls.append(None) or 7)
+            assert shares == [[n]] and mine == 7
+        assert len(calls) == 2
 
 
 class TestStackedMeans:
@@ -638,13 +667,14 @@ class TestStoreEvery:
     @given(
         dim=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
-        n_traj=st.sampled_from([1, 64, 65, 150]),
+        n_traj=st.sampled_from([1, 64, 65, 150, 257]),
         n_steps=st.integers(1, 40),
         store_every=st.integers(1, 50),
         workers=st.sampled_from([1, 2]),
     )
-    @example(dim=2, seed=0, n_traj=65, n_steps=30, store_every=10, workers=2)  # divides
-    @example(dim=3, seed=1, n_traj=150, n_steps=30, store_every=7, workers=2)  # does not
+    # two shares at 2 workers, the second ending in a partial chunk
+    @example(dim=2, seed=0, n_traj=257, n_steps=30, store_every=10, workers=2)  # divides
+    @example(dim=3, seed=1, n_traj=400, n_steps=30, store_every=7, workers=2)  # does not
     @example(dim=2, seed=2, n_traj=64, n_steps=12, store_every=12, workers=1)  # final only
     @settings(max_examples=15, deadline=None)
     def test_stored_rows_are_the_all_node_bits(
