@@ -78,15 +78,12 @@ class AncillaScheme:
 
     coupling: float
     n_shots: int
-    ancilla_dim: int = 2
 
     def __post_init__(self):
-        if self.coupling < 0:
-            raise ValidationError("coupling must be >= 0")
+        if not (np.isfinite(self.coupling) and self.coupling >= 0):
+            raise ValidationError(f"coupling must be finite and >= 0, got {self.coupling!r}")
         if self.n_shots < 1:
             raise ValidationError("n_shots must be >= 1")
-        if self.ancilla_dim != 2:
-            raise ValidationError("only two-level ancillas are supported")
 
 
 def _eigensystem(k: FuzzyKraus) -> tuple[np.ndarray, np.ndarray]:
@@ -99,6 +96,17 @@ def _eigensystem(k: FuzzyKraus) -> tuple[np.ndarray, np.ndarray]:
     return k.kernel.evals, k.kernel.q
 
 
+def _check_chain(k: FuzzyKraus, psi0: QuantumState, n_steps: int, collapse_threshold: float):
+    """The checks of a chain's inputs, made before any draw or fork."""
+    if k.dim != psi0.dim:
+        raise DimensionMismatchError(f"observable dim {k.dim} != state dim {psi0.dim}")
+    if n_steps < 1:
+        raise ValidationError("n_steps must be >= 1")
+    if not 0 < collapse_threshold < 1:
+        raise ValidationError("collapse_threshold must be in (0, 1)")
+    _eigensystem(k)
+
+
 def sample_fuzzy_shot(
     k: FuzzyKraus, psi: QuantumState, rng: np.random.Generator
 ) -> tuple[QuantumState, float, float]:
@@ -107,20 +115,17 @@ def sample_fuzzy_shot(
 
     Returns (post-measurement state, outcome, density at the outcome). The
     outcome law is a mixture of Gaussians N(a_m, 1/(4s)) weighted by the
-    eigenspace populations; sampling draws one uniform then one normal
-    variate from rng.
+    eigenspace populations. It steps one uniform, then one normal, from rng
+    as a chain of one shot: from Generator(Philox(key=seed)) its outcome and
+    state are the bits of run_decoherence_chain(k, psi, 1, seed).
     """
-    if k.dim != psi.dim:
-        raise DimensionMismatchError(f"observable dim {k.dim} != state dim {psi.dim}")
-    evals, q = _eigensystem(k)
-    amps = q.conj().T @ psi.amplitudes
-    pops = np.abs(amps) ** 2
-    idx = min(int(np.searchsorted(np.cumsum(pops), rng.random())), len(evals) - 1)
-    a = float(evals[idx] + rng.standard_normal() / (2.0 * np.sqrt(k.strength)))
+    _check_chain(k, psi, 1, 0.5)  # one shot reads no collapse index
+    u, z = rng.random(), rng.standard_normal()
+    amps, readouts, _, pops = _shots(k, psi, np.array([[u]]), np.array([[z]]), 0.5)
+    a = float(readouts[0, 0])
     weights = k.kernel.factor(a)
-    density = float(np.sqrt(2.0 * k.strength / np.pi) * np.sum(pops * weights**2))
-    v = q @ (amps * weights)
-    return QuantumState(v / np.linalg.norm(v)), a, density
+    density = float(np.sqrt(2.0 * k.strength / np.pi) * np.sum(pops[0, 0] * weights**2))
+    return QuantumState((amps @ k.kernel.q.T)[0]), a, density
 
 
 def run_decoherence_chain(
@@ -157,32 +162,30 @@ def _run_chain_batch(
     collapse_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized chains, one Philox stream per seed (n uniforms then n
-    normals). Returns final amplitudes (batch, dim) in the eigenbasis of A,
-    readouts (batch, n), collapsed index per chain (-1 for none), and
-    eigenspace population sums per shot over each chunk of CHUNK seeds
-    (chunks, n + 1, dim), added in seed order.
-
-    The scratch of a shot is made once and every operation writes into it,
-    in the order of the same formula on fresh arrays: a chain's readouts,
-    collapse index and populations do not depend on its batch.
-    """
-    if k.dim != psi0.dim:
-        raise DimensionMismatchError(f"observable dim {k.dim} != state dim {psi0.dim}")
-    if n_steps < 1:
-        raise ValidationError("n_steps must be >= 1")
-    if not 0 < collapse_threshold < 1:
-        raise ValidationError("collapse_threshold must be in (0, 1)")
-    evals, q = _eigensystem(k)
-    b, d = len(seeds), k.dim
+    normals), all drawn before _shots steps them. Returns final amplitudes
+    (batch, dim) in the eigenbasis of A, readouts (batch, n), collapsed index
+    per chain (-1 for none), and eigenspace population sums per shot over
+    each chunk of CHUNK seeds (chunks, n + 1, dim), added in seed order."""
+    _check_chain(k, psi0, n_steps, collapse_threshold)
     # shot-major, so each shot reads and writes contiguous rows
-    us = np.empty((n_steps, b))
-    zs = np.empty((n_steps, b))
+    us, zs = np.empty((2, n_steps, len(seeds)))
     for i, s in enumerate(seeds):
         if s < 0:
             raise ValidationError(f"seed {s} is negative; use a seed >= 0")
         gen = np.random.Generator(np.random.Philox(key=int(s)))
         us[:, i] = gen.random(n_steps)
         zs[:, i] = gen.standard_normal(n_steps)
+    return _shots(k, psi0, us, zs, collapse_threshold)
+
+
+def _shots(k: FuzzyKraus, psi0: QuantumState, us: np.ndarray, zs: np.ndarray, threshold: float):
+    """The shot loop of checked chains from psi0: shot n of chain i picks an
+    eigenspace by the uniform us[n, i] and adds the normal zs[n, i] (scaled
+    in place) to its outcome. Its scratch is made once and written in the
+    order of the same formula on fresh arrays, so a chain's readouts,
+    collapse index and populations do not depend on its batch."""
+    evals, q = k.kernel.evals, k.kernel.q
+    (n_steps, b), d = us.shape, k.dim
     zs *= 1.0 / (2.0 * np.sqrt(k.strength))
     amps = np.tile(q.conj().T @ psi0.amplitudes, (b, 1))
     readouts = np.empty((n_steps, b))
@@ -192,7 +195,7 @@ def _run_chain_batch(
     above, idx = np.empty((b, d), dtype=bool), np.empty(b, dtype=np.intp)
     norm, peak = np.empty(b), np.empty(b)
     hit, free = np.empty(b, dtype=bool), np.empty(b, dtype=bool)
-    level = 1.0 - collapse_threshold
+    level = 1.0 - threshold
 
     def populations(step):
         np.abs(amps, out=pops)
@@ -276,7 +279,7 @@ def run_chain_ensemble(
         raise ValidationError("n_chains must be >= 1")
     if seed_base < 0:
         raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
-    _eigensystem(k)  # a degenerate spectrum is rejected before any fork
+    _check_chain(k, psi0, n_steps, collapse_threshold)  # before any fork
     seeds = range(seed_base, seed_base + n_chains)
     job = (k, psi0, n_steps, collapse_threshold), seeds, n_steps
     [parts], _ = map_shares(_chain_share, [job], workers)

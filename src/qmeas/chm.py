@@ -200,8 +200,7 @@ def single_step_log_density(
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValidationError("record value must be finite")
-    kernel = FuzzySlice(model.A, model.kappa, dt)
-    r = (kernel.q * kernel.factor(a)[..., None, :]) @ kernel.q.conj().T
+    r = FuzzySlice(model.A, model.kappa, dt).operator(a)
     u = matrix_exponential(NonHermitianOperator(-1j * model.H.entries), dt).entries
     v = (u @ (r @ psi0.amplitudes)[..., None])[..., 0]
     # the squared norm as np.linalg.norm forms it: real dot plus imaginary dot

@@ -129,9 +129,10 @@ class FuzzySlice:
         np.multiply(w, self.dt, out=w)
         return np.exp(w, out=w)
 
-    def operator(self, a: float) -> np.ndarray:
-        """R_a in the original basis."""
-        return (self.q * self.factor(a)) @ self.q.conj().T
+    def operator(self, a: float | np.ndarray) -> np.ndarray:
+        """R_a in the original basis; (..., dim, dim) for an array ``a``, each
+        matrix the bits of its own scalar call."""
+        return (self.q * self.factor(a)[..., None, :]) @ self.q.conj().T
 
     def _quadrature(self, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gauss-Hermite nodes, weights / sqrt(pi), sqrt(2*kappa*dt)*(a_m - center)."""

@@ -20,7 +20,7 @@ from qmeas.chain import (
 )
 from qmeas.cli import main
 from qmeas.chm import MonitoringModel, marginalize_readouts
-from qmeas.errors import ValidationError
+from qmeas.errors import DimensionMismatchError, ValidationError
 from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -244,6 +244,11 @@ class TestWeakAncilla:
         m0, m1 = ancilla_branch_operators(a, 0.2)
         assert np.allclose(m0.conj().T @ m0 + m1.conj().T @ m1, np.eye(3), atol=1e-12)
 
+    @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, -0.1])
+    def test_coupling_must_be_finite_and_nonnegative(self, g):
+        with pytest.raises(ValidationError, match=r"^coupling must be finite and >= 0, got "):
+            AncillaScheme(g, 1)
+
     def test_weakness_condition(self):
         with pytest.raises(ValidationError, match="weakness"):
             weak_ancilla_shot(AncillaScheme(1.0, 1), pauli_z(), basis_state(2, 0))
@@ -400,6 +405,30 @@ class TestAgainstFrozenBatch:
         assert np.max(np.abs(got[2] - ref[2])) <= 1e-13
 
 
+class TestOneShot:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        case_seed=st.integers(0, 2**32 - 1),
+        strength=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**40),
+    )
+    @example(dim=2, case_seed=3, strength=0.1, seed=0)
+    def test_shot_is_the_one_shot_chain(self, dim, case_seed, strength, seed):
+        k, psi = _random_case(dim, case_seed, strength)
+        state, a, density = sample_fuzzy_shot(k, psi, np.random.Generator(np.random.Philox(key=seed)))
+        chain = run_decoherence_chain(k, psi, 1, seed)
+        assert _same_bits(np.float64(a), chain.readouts[0])
+        assert _same_bits(state.amplitudes, chain.final_state.amplitudes)
+        pops = chain.populations[0]
+        assert density == np.sqrt(2.0 * strength / np.pi) * np.sum(pops * k.kernel.factor(a) ** 2)
+
+    def test_shot_checks_the_chain_inputs(self):
+        k, rng = FuzzyKraus(pauli_z(), 0.1), np.random.default_rng(0)
+        with pytest.raises(DimensionMismatchError, match=r"^observable dim 2 != state dim 3$"):
+            sample_fuzzy_shot(k, basis_state(3, 0), rng)
+
+
 class TestEnsembleWorkers:
     def test_bits_do_not_depend_on_worker_count(self, counted_pools):
         # 400 chains: six full chunks and a partial one, in two shares at 2
@@ -418,18 +447,24 @@ class TestEnsembleWorkers:
         assert _same_bits(runs[0][0], ref[0]) and _same_bits(runs[0][1], ref[1])
         assert np.max(np.abs(runs[0][2] - ref[2])) <= 1e-13
 
-    @pytest.mark.parametrize("n_chains,seed_base,message", [
-        (0, 1, "n_chains must be >= 1"),
-        (150, -1, "seed_base -1 is negative; use a seed >= 0"),
+    # 260 chains are five chunks, two shares at 2 workers: a pool would start
+    @pytest.mark.parametrize("n_chains,seed_base,n_steps,dim,threshold,error,message", [
+        (0, 1, 10, 2, 1e-4, ValidationError, r"^n_chains must be >= 1$"),
+        (260, -1, 10, 2, 1e-4, ValidationError, r"^seed_base -1 is negative; use a seed >= 0$"),
+        (260, 1, 0, 2, 1e-4, ValidationError, r"^n_steps must be >= 1$"),
+        (260, 1, 10, 3, 1e-4, DimensionMismatchError, r"^observable dim 2 != state dim 3$"),
+        (260, 1, 10, 2, 1.0, ValidationError, r"^collapse_threshold must be in \(0, 1\)$"),
     ])
-    def test_bad_input_rejected_before_the_pool_starts(self, monkeypatch, n_chains, seed_base, message):
+    def test_bad_input_rejected_before_the_pool_starts(
+        self, monkeypatch, n_chains, seed_base, n_steps, dim, threshold, error, message
+    ):
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        k, psi0 = FuzzyKraus(pauli_z(), 0.1), basis_state(2, 0)
-        with pytest.raises(ValidationError, match=message):
-            run_chain_ensemble(k, psi0, 10, n_chains, seed_base, workers=2)
+        k, psi0 = FuzzyKraus(pauli_z(), 0.1), basis_state(dim, 0)
+        with pytest.raises(error, match=message):
+            run_chain_ensemble(k, psi0, n_steps, n_chains, seed_base, threshold, workers=2)
 
     def test_cli_files_do_not_depend_on_worker_count(self, tmp_path, counted_pools):
         # 260 chains: four full chunks and a partial one, two shares at 2 workers

@@ -197,3 +197,24 @@ class TestFuzzySlice:
         assert shot.tobytes() == np.exp(-kappa * (evals - a[0]) ** 2).tobytes()
         r = (q * np.exp(-kappa * (evals - a[0]) ** 2 * dt)) @ q.conj().T
         assert kernel.operator(a[0]).tobytes() == r.tobytes()
+
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        log10_kdt=st.floats(-4.0, 1.5),
+        shape=st.sampled_from([(1,), (7,), (3, 4)]),
+    )
+    @example(dim=3, seed=2, degenerate=True, log10_kdt=-1.0, shape=(3, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_operator_on_an_array_is_each_scalar_call(self, dim, seed, degenerate, log10_kdt, shape):
+        # R_a over an array of readouts, as the one-slice density takes it,
+        # stacks the bits of the scalar calls that the sliced product makes
+        rng = np.random.default_rng(seed)
+        kappa = 10.0 ** rng.uniform(-1.0, 1.0)
+        kernel = FuzzySlice(_random_observable(rng, dim, degenerate), kappa, 10.0**log10_kdt / kappa)
+        a = rng.uniform(-2.0, 2.0, shape)
+        r = kernel.operator(a)
+        assert r.shape == (*shape, dim, dim)
+        rows = np.stack([kernel.operator(float(x)) for x in a.ravel()]).reshape(r.shape)
+        assert r.tobytes() == rows.tobytes()
