@@ -73,17 +73,14 @@ class ChainOutcome:
 
 @dataclass(frozen=True)
 class AncillaScheme:
-    """Series of weak probe couplings: per-shot dimensionless strength g,
-    number of shots, two-level probes."""
+    """Weak probe coupling of one two-level probe: per-shot dimensionless
+    strength g."""
 
     coupling: float
-    n_shots: int
 
     def __post_init__(self):
         if not (np.isfinite(self.coupling) and self.coupling >= 0):
             raise ValidationError(f"coupling must be finite and >= 0, got {self.coupling!r}")
-        if self.n_shots < 1:
-            raise ValidationError("n_shots must be >= 1")
 
 
 def _eigensystem(k: FuzzyKraus) -> tuple[np.ndarray, np.ndarray]:

@@ -75,14 +75,15 @@ def effective_hamiltonian(model: MonitoringModel, a: float) -> NonHermitianOpera
     return NonHermitianOperator(model.H.entries - 1j * model.kappa * (shifted @ shifted))
 
 
-def _record_loop(
-    model: MonitoringModel, record: ReadoutRecord, psi0: QuantumState, *, history: bool
+def propagate_chm_series(
+    model: MonitoringModel, psi0: QuantumState, record: ReadoutRecord
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 along a record, ceil(stiffness*dt/SUBSTEP_TARGET) substeps per slice,
-    stiffness = kappa*(||A|| + |a|)^2 + ||H||, behind the resolution guard.
-    After every slice the norm is checked and folded into the log-norm, and
-    the state renormalized. Returns (log_norms, amplitudes) over all
-    n_steps + 1 nodes with ``history``, else over the end node alone."""
+    """The record loop: RK4 along a record, ceil(stiffness*dt/SUBSTEP_TARGET)
+    substeps per slice, stiffness = kappa*(||A|| + |a|)^2 + ||H||, behind the
+    resolution guard. After every slice the norm is checked and folded into
+    the log-norm, and the state renormalized. Returns the full per-step
+    history: (log_norms, amplitudes) arrays of shapes (n_steps+1,) and
+    (n_steps+1, dim)."""
     if psi0.dim != model.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
     norm_a = model.A.spectral_norm()
@@ -94,9 +95,8 @@ def _record_loop(
             f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; the record "
             "grid is too coarse for this measurement strength, reduce the record dt or kappa"
         )
-    rows = record.grid.n_steps + 1 if history else 1
-    logs = np.empty(rows)
-    states = np.empty((rows, model.dim), dtype=complex)
+    logs = np.empty(record.grid.n_steps + 1)
+    states = np.empty((logs.size, model.dim), dtype=complex)
     log_norm, psi = psi0.log_norm, psi0.amplitudes
     logs[0], states[0] = log_norm, psi
     for k, a in enumerate(record.values):
@@ -116,34 +116,20 @@ def _record_loop(
             )
         log_norm += np.log(n)
         psi = psi / n
-        row = k + 1 if history else 0
-        logs[row], states[row] = log_norm, psi
+        logs[k + 1], states[k + 1] = log_norm, psi
     return logs, states
 
 
 def propagate_chm(
     model: MonitoringModel, psi0: QuantumState, record: ReadoutRecord
 ) -> tuple[QuantumState, ReadoutDensity]:
-    """Integrate the monitoring equation along a readout record.
-
-    a(t) is held constant within each record slice and the linear ODE is
-    advanced by RK4, substepped so the per-substep damping exponent stays
-    small (||A|| and ||H|| are taken once per record). The state is
-    renormalized after every slice with the norm folded into log_norm; the
-    returned log-density is 2*log_norm + reference_log_weight(record, kappa).
-    """
-    logs, amps = _record_loop(model, record, psi0, history=False)
+    """Integrate the monitoring equation along a readout record: the state and
+    log_norm of the last row of :func:`propagate_chm_series`, and the record's
+    log-density 2*log_norm + reference_log_weight(record, kappa)."""
+    logs, amps = propagate_chm_series(model, psi0, record)
     state = QuantumState(amps[-1], logs[-1])
     density = ReadoutDensity(2.0 * logs[-1] + reference_log_weight(record, model.kappa))
     return state, density
-
-
-def propagate_chm_series(
-    model: MonitoringModel, psi0: QuantumState, record: ReadoutRecord
-) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`propagate_chm` but returning the full per-step history:
-    (log_norms, amplitudes) arrays of shapes (n_steps+1,) and (n_steps+1, dim)."""
-    return _record_loop(model, record, psi0, history=True)
 
 
 def _slice_product(dim: int, record: ReadoutRecord, factor) -> np.ndarray:

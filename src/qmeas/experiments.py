@@ -36,6 +36,8 @@ from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
 from .sse import SseTrajectory, ensemble_sums, mean_density, simulate_trajectory
 
+LINE_CORE_BINS = 3  # bins on each side of the Rabi line kept out of its background band
+
 
 @dataclass(frozen=True)
 class DrivenTwoLevel:
@@ -51,6 +53,8 @@ class DrivenTwoLevel:
     kappa: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.level_splitting, self.rabi, self.kappa])):
+            raise ValidationError("level_splitting, rabi and kappa must be finite; replace nan or inf")
         if self.level_splitting <= 0 or self.rabi < 0:
             raise ValidationError("level_splitting must be > 0 and rabi >= 0")
         if self.kappa <= 0:
@@ -195,13 +199,12 @@ def analyze_rabi_line(
     max_offset_bins: int = 2,
     search_bins: int = 8,
     band_bins: int = 25,
-    exclude_bins: int = 3,
 ) -> RabiLineStats:
     """Locate the spectral peak nearest the Rabi line and grade it.
 
     The peak is the largest bin within ``search_bins`` of the line; its power
     is compared against the median bin of the surrounding band (``band_bins``
-    on each side, with the ``exclude_bins`` line core left out), so the test
+    on each side, with the LINE_CORE_BINS bins of the line core left out), so the test
     asks whether a discrete line stands out of the local spectral background.
     Detected means the peak sits within ``max_offset_bins`` of the line and
     carries at least 3x the background median.
@@ -221,7 +224,7 @@ def analyze_rabi_line(
     band = [
         j
         for j in range(max(1, i0 - band_bins), min(len(power), i0 + band_bins + 1))
-        if abs(j - i0) > exclude_bins
+        if abs(j - i0) > LINE_CORE_BINS
     ]
     background = float(np.median(power[band]))
     ratio = float(power[peak] / background) if background > 0 else np.inf
@@ -252,16 +255,16 @@ def _driven_trajectory(
 
 
 def run_rabi_monitor(
-    system: DrivenTwoLevel, t_final: float, dt: float, seed: int, initial=None
+    system: DrivenTwoLevel, t_final: float, dt: float, seed: int
 ) -> tuple[SseTrajectory, np.ndarray]:
-    """One monitored trajectory (from the ground state unless ``initial`` is
-    given) plus the periodogram of its readout record.
+    """One monitored trajectory from the ground state plus the periodogram of
+    its readout record.
 
     In the soft regime the record tracks the oscillating energy expectation
     and the spectrum shows a line at the Rabi frequency; outside the regime a
     warning is emitted and the line is typically absent (frozen dynamics).
     """
-    traj = _driven_trajectory(system, t_final, dt, seed, initial)
+    traj = _driven_trajectory(system, t_final, dt, seed, None)
     spectrum = periodogram(traj.record.values, dt)
     return traj, spectrum
 

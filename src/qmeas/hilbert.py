@@ -45,6 +45,8 @@ class HermitianOperator:
         m = _as_complex_matrix(self.entries, "HermitianOperator")
         if m.shape[0] < 2:
             raise ValidationError(f"operator dimension must be >= 2, got {m.shape[0]}")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("Hermitian matrix entries must be finite; replace nan or inf")
         defect = np.max(np.abs(m - m.conj().T))
         if defect > HERMITICITY_ATOL:
             i, j = np.unravel_index(
@@ -99,6 +101,8 @@ class QuantumState:
         if v.ndim != 1 or v.size < 2:
             raise ValidationError(f"state must be a vector of length >= 2, got shape {v.shape}")
         n = float(np.linalg.norm(v))
+        if not np.isfinite(n) and not np.all(np.isfinite(v)):
+            raise ValidationError(f"state amplitudes must be finite, got norm {n}; replace nan or inf")
         if abs(n - 1.0) > NORM_ATOL:
             raise ValidationError(f"stored amplitudes must be normalized: |norm - 1| = {abs(n - 1.0):.3g}")
         if not np.isfinite(self.log_norm):
@@ -124,13 +128,16 @@ class QuantumState:
 
 
 def _densities(m: np.ndarray, min_eigenvalues=None) -> tuple[np.ndarray, np.ndarray]:
-    """Check a stack (..., d, d) of matrices as density matrices: Hermitian
-    to 1e-12, trace 1 to 1e-10 and no eigenvalue of the Hermitian part
-    0.5 (m + m^H) below -1e-9. Raises ValidationError for the first matrix
+    """Check a stack (..., d, d) of matrices as density matrices: finite,
+    Hermitian to 1e-12, trace 1 to 1e-10 and no eigenvalue of the Hermitian
+    part 0.5 (m + m^H) below -1e-9. Raises ValidationError for the first matrix
     that fails, with the message of its first failing check, in that order.
     Returns (the Hermitian parts, their smallest eigenvalues); a caller that
     holds the smallest eigenvalues passes them instead (see DensityMatrix).
     Each matrix gets the values a check of it alone would give."""
+    non_finite = ~np.all(np.isfinite(m), axis=(-2, -1))
+    if non_finite.any():  # they fail below whatever their values; zeros keep numpy quiet
+        m = np.where(non_finite[..., None, None], 0.0, m)
     mh = np.swapaxes(m.conj(), -1, -2)
     skew = np.max(np.abs(m - mh), axis=(-2, -1)) > HERMITICITY_ATOL
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -141,9 +148,11 @@ def _densities(m: np.ndarray, min_eigenvalues=None) -> tuple[np.ndarray, np.ndar
         lo = np.min(np.linalg.eigvalsh(sym), axis=-1)
     lo = np.asarray(lo, dtype=float)
     negative = lo < -POSITIVITY_ATOL
-    failed = skew | off_trace | negative
+    failed = non_finite | skew | off_trace | negative
     if failed.any():
         k = np.flatnonzero(failed)[0]
+        if non_finite.flat[k]:
+            raise ValidationError("density matrix entries must be finite; replace nan or inf")
         if skew.flat[k]:
             raise ValidationError("density matrix must be Hermitian to 1e-12")
         if off_trace.flat[k]:

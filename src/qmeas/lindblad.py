@@ -99,19 +99,16 @@ def integrate_lindblad(
     model: MonitoringModel,
     rho0: DensityMatrix,
     grid: TimeGrid,
-    store_every: int = 1,
 ) -> list[DensityMatrix]:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    Returns the states at ``grid.stored_nodes(store_every)``: t0, after every
-    ``store_every``-th step and the final node. Each is re-symmetrized and
-    trace-renormalized; the trace drift before renormalization is checked to
-    stay below 1e-9 per step. An eigenvalue of rho below -1e-6 aborts with a
+    Returns the states at all n_steps + 1 grid nodes. Each is re-symmetrized
+    and trace-renormalized; the trace drift before renormalization is checked
+    to stay below 1e-9 per step. An eigenvalue of rho below -1e-6 aborts with a
     step-size diagnosis instead of silently projecting back.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
-    stored = set(grid.stored_nodes(store_every))
     h = model.H.entries
     a = model.A.entries
     kappa = model.kappa
@@ -128,10 +125,9 @@ def integrate_lindblad(
                 f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < {POSITIVITY_ABORT}); "
                 f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
             )
-        if k + 1 in stored:
-            # _settle's rho is its own Hermitian part, bit for bit, so lo is
-            # the value DensityMatrix would compute
-            out.append(DensityMatrix(rho, _min_eigenvalue=lo))
+        # _settle's rho is its own Hermitian part, bit for bit, so lo is the
+        # value DensityMatrix would compute
+        out.append(DensityMatrix(rho, _min_eigenvalue=lo))
     return out
 
 

@@ -35,8 +35,9 @@ class TimeGrid:
             raise ValidationError("grid times must be finite")
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
-        if self.n_steps < 1:
-            raise ValidationError("n_steps must be >= 1")
+        n = self.n_steps
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"n_steps must be an integer >= 1, got {n!r}")
 
     @property
     def duration(self) -> float:
@@ -164,14 +165,14 @@ def serialize_record(record: ReadoutRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_record(text: str, dt: float | None = None, t0: float | None = None) -> ReadoutRecord:
+def parse_record(text: str) -> ReadoutRecord:
     """Parse the CSV form produced by :func:`serialize_record`.
 
-    The grid is inferred from the midpoint column; pass ``dt`` (and
-    optionally ``t0``) to validate against a declared grid instead, which is
-    also required to disambiguate single-row records. Raises
-    :class:`RecordParseError` naming the offending data row on malformed
-    input, non-monotonic times or inconsistent spacing.
+    The grid is inferred from the midpoint column: dt is the spacing of the
+    first two rows, so a record needs at least two, and every row must sit
+    on a midpoint of that grid. Raises :class:`RecordParseError` naming the
+    offending data row on malformed input, non-monotonic times or
+    inconsistent spacing.
     """
     lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if not lines or lines[0].strip() != "t,a":
@@ -196,27 +197,25 @@ def parse_record(text: str, dt: float | None = None, t0: float | None = None) ->
     if not ts:
         raise RecordParseError("record has no data rows")
 
-    if dt is None:
-        if len(ts) == 1:
-            raise RecordParseError("single-row record needs a declared dt", row=1)
-        steps = np.diff(ts)
-        dt = float(steps[0])
-        bad = np.nonzero(np.abs(steps - dt) > 1e-9 * max(1.0, abs(dt)))[0]
-        if bad.size:
-            raise RecordParseError(
-                f"non-uniform spacing {steps[bad[0]]!r} (expected {dt!r})", row=int(bad[0]) + 2
-            )
-    if dt <= 0:
-        raise RecordParseError("declared dt must be positive")
-    inferred_t0 = ts[0] - 0.5 * dt
-    if t0 is None:
-        t0 = inferred_t0
-    grid = TimeGrid(t0=t0, dt=float(dt), n_steps=len(ts))
-    mids = grid.midpoints()
+    if len(ts) == 1:
+        raise RecordParseError(
+            "one row has no spacing and a record takes no declared dt; give at least two rows, "
+            "whose t spacing sets dt",
+            row=1,
+        )
+    steps = np.diff(ts)
+    dt = float(steps[0])
     tol = 1e-9 * max(1.0, abs(dt))
-    for i, (t, m) in enumerate(zip(ts, mids), start=1):
+    bad = np.nonzero(np.abs(steps - dt) > tol)[0]
+    if bad.size:
+        raise RecordParseError(
+            f"non-uniform spacing {steps[bad[0]]!r} (expected {dt!r})", row=int(bad[0]) + 2
+        )
+    grid = TimeGrid(t0=ts[0] - 0.5 * dt, dt=dt, n_steps=len(ts))
+    # spacings each within tol of dt can still drift off the grid together
+    for i, (t, m) in enumerate(zip(ts, grid.midpoints()), start=1):
         if abs(t - m) > tol:
             raise RecordParseError(
-                f"time {t!r} does not sit on the declared grid (expected midpoint {m!r})", row=i
+                f"time {t!r} does not sit on the inferred grid (expected midpoint {m!r})", row=i
             )
     return ReadoutRecord(grid, np.array(vs))

@@ -441,8 +441,9 @@ def fold_chunks(shares) -> np.ndarray:
 def ensemble_sums(ensembles, workers: int = 1, local=None) -> tuple[list[np.ndarray], object]:
     """The projector sums of each of ``ensembles``, tuples (model, psi0,
     grid, n_traj, seed_base, store_every), kept at
-    ``grid.stored_nodes(store_every)``, the nodes integrate_lindblad stores; a
-    kept node's sums have the same bits for any ``store_every``. All
+    ``grid.stored_nodes(store_every)`` (every node at store_every = 1, as
+    integrate_lindblad keeps); a kept node's sums have the same bits for any
+    ``store_every``. All
     ensembles run by one map_shares call: every input is checked before any
     fork, and the shares of all ensembles share one pool. Each ensemble's
     chunk sums are folded in chunk order, so the bits do not depend on the

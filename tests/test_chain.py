@@ -220,7 +220,7 @@ class TestDecoherenceChain:
 
 class TestWeakAncilla:
     def test_zero_coupling_single_branch(self):
-        sch = AncillaScheme(0.0, 1)
+        sch = AncillaScheme(0.0)
         branches = weak_ancilla_shot(sch, pauli_z(), basis_state(2, 0))
         assert len(branches) == 1
         state, p, outcome = branches[0]
@@ -230,12 +230,12 @@ class TestWeakAncilla:
 
     def test_eigenstate_outcome_probability(self):
         g = 0.3
-        branches = weak_ancilla_shot(AncillaScheme(g, 1), pauli_z(), basis_state(2, 0))
+        branches = weak_ancilla_shot(AncillaScheme(g), pauli_z(), basis_state(2, 0))
         probs = {o: p for _, p, o in branches}
         assert probs[1] == pytest.approx(np.sin(g * 1.0) ** 2, abs=1e-12)
 
     def test_half_half_at_quarter_pi(self):
-        branches = weak_ancilla_shot(AncillaScheme(np.pi / 4, 1), pauli_z(), basis_state(2, 0))
+        branches = weak_ancilla_shot(AncillaScheme(np.pi / 4), pauli_z(), basis_state(2, 0))
         probs = {o: p for _, p, o in branches}
         assert probs[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -247,11 +247,11 @@ class TestWeakAncilla:
     @pytest.mark.parametrize("g", [np.nan, np.inf, -np.inf, -0.1])
     def test_coupling_must_be_finite_and_nonnegative(self, g):
         with pytest.raises(ValidationError, match=r"^coupling must be finite and >= 0, got "):
-            AncillaScheme(g, 1)
+            AncillaScheme(g)
 
     def test_weakness_condition(self):
         with pytest.raises(ValidationError, match="weakness"):
-            weak_ancilla_shot(AncillaScheme(1.0, 1), pauli_z(), basis_state(2, 0))
+            weak_ancilla_shot(AncillaScheme(1.0), pauli_z(), basis_state(2, 0))
 
     def test_matches_full_tensor_coupling(self):
         # explicit system x probe unitary agrees with the closed-form branches

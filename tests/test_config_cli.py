@@ -458,6 +458,17 @@ class TestDispatch:
         assert not out.exists()
         assert "line 6: key 'dt' does not apply with record_file" in capsys.readouterr().err
 
+    def test_chm_single_row_record_file_exit_code(self, tmp_path, capsys):
+        # [grid] is rejected next to record_file, so the fix is a second row
+        rec_path = tmp_path / "rec.csv"
+        rec_path.write_text("t,a\n0.05,1\n", encoding="utf-8")
+        text = f"[run]\nscenario = chm\n[chm]\nrecord_file = {rec_path}\n"
+        rc, _ = run_cli(tmp_path, "chm_one_row", text)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "declared dt" in err
+        assert "give at least two rows, whose t spacing sets dt" in err
+
     def test_chm_record_file_with_record_value_exit_code(self, tmp_path, capsys):
         rec_path = tmp_path / "rec.csv"
         rec_path.write_text("t,a\n0.05,1\n0.15,0.5\n", encoding="utf-8")

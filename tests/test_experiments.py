@@ -18,11 +18,27 @@ from qmeas.experiments import (
 from qmeas.hilbert import DensityMatrix, trace_distance
 from qmeas.lindblad import integrate_lindblad, lindblad_exact
 from qmeas.readout import TimeGrid
-from qmeas.sse import _run_batch, _share_cuts, ensemble_accumulate, ensemble_sums
+from qmeas.sse import (
+    _run_batch,
+    _share_cuts,
+    ensemble_accumulate,
+    ensemble_sums,
+    simulate_trajectory,
+)
 
 
 def soft_system(kappa=0.04):
     return DrivenTwoLevel(level_splitting=2.0, rabi=1.0, kappa=kappa)
+
+
+class TestDrivenTwoLevel:
+    @pytest.mark.parametrize(
+        "params", [(np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (2.0, np.nan, 1.0), (2.0, 1.0, np.inf)]
+    )
+    def test_non_finite_parameters_are_rejected(self, params):
+        message = r"^level_splitting, rabi and kappa must be finite; replace nan or inf$"
+        with pytest.raises(ValidationError, match=message):
+            DrivenTwoLevel(*params)
 
 
 class TestZenoScan:
@@ -189,11 +205,8 @@ class TestRabiMonitor:
 
     def test_no_drive_record_is_flat_noise(self):
         system = DrivenTwoLevel(level_splitting=2.0, rabi=0.0, kappa=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            traj, _ = run_rabi_monitor(
-                system, t_final=20.0, dt=1e-3, seed=4, initial=system.excited_state()
-            )
+        grid = TimeGrid(0.0, 1e-3, 20000)
+        traj = simulate_trajectory(system.monitoring_model(), system.excited_state(), grid, 4)
         # record = eigenvalue + white noise: the smoothed record hugs +1
         smoothed = moving_average(traj.record.values, 500)
         sigma_smooth = np.sqrt(1.0 / (4 * system.kappa * 0.5))

@@ -71,6 +71,25 @@ class TestTypes:
         rho = DensityMatrix(np.eye(2) / 2, _min_eigenvalue=0.5)
         assert rho.entries.tobytes() == DensityMatrix(np.eye(2) / 2).entries.tobytes()
 
+    @pytest.mark.parametrize(
+        "kind,entries,message",
+        [
+            (HermitianOperator, [[np.nan, 0], [0, 1]], r"^Hermitian matrix entries must be finite"),
+            (HermitianOperator, [[np.inf, 0], [0, 1]], r"^Hermitian matrix entries must be finite"),
+            (HermitianOperator, [[1, 0], [np.nan, 1]], r"^Hermitian matrix entries must be finite"),
+            (QuantumState, [np.nan, 1], r"^state amplitudes must be finite, got norm nan"),
+            (QuantumState, [np.inf, 1], r"^state amplitudes must be finite, got norm inf"),
+            (DensityMatrix, [[np.nan, 0], [0, 1]], r"^density matrix entries must be finite"),
+            (DensityMatrix, [[np.inf, 0], [0, 1]], r"^density matrix entries must be finite"),
+            # non-finite is checked first: this one is also off trace
+            (DensityMatrix, [[np.nan, 0], [0, 2]], r"^density matrix entries must be finite"),
+        ],
+    )
+    def test_non_finite_entries_are_rejected(self, kind, entries, message):
+        with pytest.raises(ValidationError, match=message) as err:
+            kind(entries)
+        assert str(err.value).endswith("; replace nan or inf")
+
     def test_immutability(self):
         op = pauli_z()
         with pytest.raises(ValueError):

@@ -178,14 +178,6 @@ class TestIntegration:
         with pytest.raises(IntegrationError, match=message):
             integrate_lindblad(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, grid)
 
-    def test_store_every_thins_output(self):
-        model = LindbladModel(pauli_x(), pauli_z(), 0.5)
-        rho0 = DensityMatrix.from_state(basis_state(2, 0))
-        full = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, 100))
-        thin = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, 100), store_every=100)
-        assert len(thin) == 2
-        assert np.allclose(thin[-1].entries, full[-1].entries, atol=1e-14)
-
 
 def random_hermitian(rng, dim, evals):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -220,7 +212,7 @@ class TestExactPropagator:
         t, n = 1.0, 200
         dt = t / n
         exact = lindblad_exact(model, rho0, t)
-        rk4 = integrate_lindblad(model, rho0, TimeGrid(0.0, dt, n), store_every=n)[-1]
+        rk4 = integrate_lindblad(model, rho0, TimeGrid(0.0, dt, n))[-1]
         # global RK4 error on a linear ODE with ||L|| <= lam: n steps of the
         # Taylor remainder (lam dt)^5 / 120 * exp(lam dt), plus roundoff
         lam = 2.0 * h.spectral_norm() + 2.0 * kappa * model.A.spectral_norm() ** 2
@@ -367,12 +359,9 @@ class TestStoredStates:
         dim=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
         n_steps=st.integers(1, 20),
-        store_every=st.integers(1, 7),
     )
     @settings(max_examples=40, deadline=None)
-    def test_reused_spectrum_builds_the_public_density_matrix(
-        self, dim, seed, n_steps, store_every
-    ):
+    def test_reused_spectrum_builds_the_public_density_matrix(self, dim, seed, n_steps):
         # each stored state reuses the positivity abort's eigenvalue; it must
         # be the state and the eigenvalue that DensityMatrix(rho) computes
         rng = np.random.default_rng(seed)
@@ -388,8 +377,8 @@ class TestStoredStates:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lindblad_mod, "DensityMatrix", recording)
-            out = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, n_steps), store_every)
-        assert len(built) == len(out) - 1 == -(-n_steps // store_every)
+            out = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, n_steps))
+        assert len(built) == len(out) - 1 == n_steps
         for (m, lo), state in zip(built, out[1:]):
             public = DensityMatrix(m)
             assert state.entries.tobytes() == public.entries.tobytes()

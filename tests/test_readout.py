@@ -24,6 +24,13 @@ class TestGridAndRecord:
         with pytest.raises(ValidationError):
             TimeGrid(0.0, 0.1, 0)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, True, False, "3", None])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        # TimeGrid(0, 0.1, 2.5) would have 4 nodes, which no record can match
+        with pytest.raises(ValidationError, match=r"^n_steps must be an integer >= 1, got "):
+            TimeGrid(0.0, 0.1, n_steps)
+        assert TimeGrid(0.0, 0.1, np.int64(3)).times().size == 4
+
     def test_constant_record(self):
         rec = constant_record(TimeGrid(0.0, 0.25, 4), 1.0)
         assert np.array_equal(rec.values, [1.0, 1.0, 1.0, 1.0])
@@ -101,17 +108,21 @@ class TestSerialization:
         assert np.array_equal(back.values, rec.values)
 
     def test_single_row_needs_declared_dt(self):
+        # one row has no spacing to set dt, and a record takes no declared dt
         rec = ReadoutRecord(TimeGrid(0.0, 0.5, 1), np.array([1.0]))
-        text = serialize_record(rec)
-        with pytest.raises(RecordParseError, match="declared dt"):
-            parse_record(text)
-        back = parse_record(text, dt=0.5)
-        assert np.array_equal(back.values, [1.0])
-        assert back.grid.t0 == pytest.approx(0.0)
+        message = r"^row 1: .*declared dt.* at least two rows, whose t spacing sets dt$"
+        with pytest.raises(RecordParseError, match=message):
+            parse_record(serialize_record(rec))
+        back = parse_record(serialize_record(ReadoutRecord(TimeGrid(0.0, 0.5, 2), np.ones(2))))
+        assert (back.grid.t0, back.grid.dt, back.grid.n_steps) == (0.0, 0.5, 2)
 
     def test_grid_mismatch_reports_row(self):
-        with pytest.raises(RecordParseError, match="row 2"):
-            parse_record("t,a\n0.25,1\n0.30,2\n", dt=0.5)
+        # each spacing is within 1e-9 of the first, so the spacing check
+        # passes, but the drift adds up to 1.8e-9 off the grid by row 4
+        ts = 0.05 + np.cumsum([0.0, 0.1, 0.1 + 0.9e-9, 0.1 + 0.9e-9])
+        text = "t,a\n" + "".join(f"{t:.17g},1\n" for t in ts)
+        with pytest.raises(RecordParseError, match=r"^row 4: time .* does not sit on the inferred grid"):
+            parse_record(text)
 
     def test_malformed_rows(self):
         with pytest.raises(RecordParseError, match="header"):

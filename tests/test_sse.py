@@ -614,6 +614,7 @@ class TestStackedMeans:
         "skew": GOOD + np.array([[0.0, 1e-9], [0.0, 0.0]]),
         "trace": 1.001 * GOOD,
         "negative": np.array([[1.1, 0.5], [0.5, -0.1]]),
+        "non-finite": np.array([[np.nan, 0.0], [0.0, 1.0]]),
     }
 
     @pytest.mark.parametrize("defect", sorted(BAD))
@@ -640,6 +641,10 @@ class TestStackedMeans:
             _densities(stack)
         with pytest.raises(ValidationError, match="trace must be 1: got"):
             _densities(np.stack([self.GOOD, off_and_negative]))
+        with pytest.raises(ValidationError, match="trace must be 1: got"):
+            _densities(np.stack([self.GOOD, off_and_negative, self.BAD["non-finite"]]))
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            _densities(np.stack([self.GOOD, np.inf * off_and_negative, off_and_negative]))
 
     @given(dim=st.sampled_from([2, 3, 4, 5, 8, 16, 64]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=14, deadline=None)
@@ -703,8 +708,7 @@ class TestStoreEvery:
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_guard(self, bad, monkeypatch):
-        # the ensemble and the master equation keep the same nodes, so they
-        # reject the same store_every with the same message
+        # TimeGrid.stored_nodes checks store_every before the pool starts
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
@@ -713,8 +717,6 @@ class TestStoreEvery:
         message = rf"store_every must be an integer >= 1, got {bad}; pass 1"
         with pytest.raises(ValidationError, match=message):
             ensemble_sums([(model, plus_state(2), grid, 70, 1, bad)], workers=2)
-        with pytest.raises(ValidationError, match=message):
-            integrate_lindblad(model, DensityMatrix.from_state(plus_state(2)), grid, bad)
 
 
 class TestGuards:
