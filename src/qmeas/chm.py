@@ -35,8 +35,15 @@ from .errors import (
     ResolutionMismatchError,
     ValidationError,
 )
-from .hilbert import DensityMatrix, NonHermitianOperator, QuantumState, matrix_exponential
-from .lindblad import MonitoringModel, _rk4
+from .hilbert import (
+    DensityMatrix,
+    NonHermitianOperator,
+    QuantumState,
+    _density_stack,
+    _lowest_eigenvalues,
+    matrix_exponential,
+)
+from .lindblad import MonitoringModel, _blocks, _first, _renormalized, _rk4
 from .readout import (
     FuzzySlice,
     ReadoutDensity,
@@ -60,6 +67,8 @@ class PartialPropagator:
     record: ReadoutRecord
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.matrix.entries)):
+            raise ValidationError("partial propagator entries must be finite; replace nan or inf")
         top = float(np.linalg.norm(self.matrix.entries, 2))
         if top > 1.0 + 1e-9:
             raise ValidationError(
@@ -254,20 +263,23 @@ def marginalize_readouts(
     q, kernel = slice_kernel.q, slice_kernel.dephasing_kernel(quad_order)
     u_half = matrix_exponential(NonHermitianOperator(-0.5j * model.H.entries), grid.dt).entries
     qh = q.conj().T
-    rho = rho0.entries.copy()
+    d = model.dim
+    states = np.empty((grid.n_steps + 1, d, d), dtype=complex)
+    rho = rho0.entries
     out = [rho0]
-    for k in range(grid.n_steps):
-        rho = u_half @ rho @ u_half.conj().T
-        rho = q @ (kernel * (qh @ rho @ q)) @ qh
-        rho = u_half @ rho @ u_half.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < -1e-9:
+    for block in _blocks(grid.n_steps, d):
+        for k in block:
+            rho = u_half @ rho @ u_half.conj().T
+            rho = q @ (kernel * (qh @ rho @ q)) @ qh
+            states[k] = rho = _renormalized(u_half @ rho @ u_half.conj().T)
+        # the positivity abort and the DensityMatrix checks, once per block
+        block_states = states[block.start : block.stop]
+        lo = _lowest_eigenvalues(block_states)
+        j = _first(lo < -1e-9)
+        out += _density_stack(block_states[:j], lo[:j])
+        if j < len(block):
             raise IntegrationError(
-                f"marginalized state lost positivity at step {k + 1} (eigenvalue {lo:.3g}); "
+                f"marginalized state lost positivity at step {block.start + j} (eigenvalue {lo[j]:.3g}); "
                 "reduce dt or kappa, or raise quad_order"
             )
-        # rho is its own Hermitian part bit for bit, so DensityMatrix may reuse lo
-        out.append(DensityMatrix(rho, _min_eigenvalue=lo))
     return out

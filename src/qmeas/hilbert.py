@@ -9,7 +9,7 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,17 +127,31 @@ class QuantumState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
+def _zero_non_finite(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m with each matrix of a stack (..., d, d) that has a non-finite entry
+    zeroed, the mask of those matrices): they fail a check whatever their
+    values, and zeros keep numpy quiet and eigvalsh from raising LinAlgError."""
+    non_finite = ~np.all(np.isfinite(m), axis=(-2, -1))
+    if non_finite.any():
+        m = np.where(non_finite[..., None, None], 0.0, m)
+    return m, non_finite
+
+
+def _lowest_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each Hermitian matrix of a stack (..., d, d),
+    by one eigvalsh; a non-finite matrix reads 0."""
+    return np.min(np.linalg.eigvalsh(_zero_non_finite(m)[0]), axis=-1)
+
+
 def _densities(m: np.ndarray, min_eigenvalues=None) -> tuple[np.ndarray, np.ndarray]:
     """Check a stack (..., d, d) of matrices as density matrices: finite,
     Hermitian to 1e-12, trace 1 to 1e-10 and no eigenvalue of the Hermitian
     part 0.5 (m + m^H) below -1e-9. Raises ValidationError for the first matrix
     that fails, with the message of its first failing check, in that order.
     Returns (the Hermitian parts, their smallest eigenvalues); a caller that
-    holds the smallest eigenvalues passes them instead (see DensityMatrix).
-    Each matrix gets the values a check of it alone would give."""
-    non_finite = ~np.all(np.isfinite(m), axis=(-2, -1))
-    if non_finite.any():  # they fail below whatever their values; zeros keep numpy quiet
-        m = np.where(non_finite[..., None, None], 0.0, m)
+    holds the smallest eigenvalues passes them instead. Each matrix gets the
+    values a check of it alone would give."""
+    m, non_finite = _zero_non_finite(m)
     mh = np.swapaxes(m.conj(), -1, -2)
     skew = np.max(np.abs(m - mh), axis=(-2, -1)) > HERMITICITY_ATOL
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -161,24 +175,30 @@ def _densities(m: np.ndarray, min_eigenvalues=None) -> tuple[np.ndarray, np.ndar
     return sym, lo
 
 
+class _Checked:
+    """A read-only view of one matrix of a stack that _density_stack has
+    checked: DensityMatrix keeps it as its entries without a second check."""
+
+    __slots__ = ("view",)
+
+    def __init__(self, view: np.ndarray):
+        self.view = view
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Dense positive semidefinite unit-trace matrix.
-
-    ``_min_eigenvalue`` is a private construction path for a caller that has
-    just run eigvalsh on a matrix that 0.5 (m + m^H) leaves unchanged bit
-    for bit: its smallest eigenvalue is reused instead of computed again.
-    The Hermiticity, trace and positivity checks still run.
-    """
+    """Dense positive semidefinite unit-trace matrix. The values of a stack
+    checked at once come from _density_stack, with no second check each."""
 
     entries: np.ndarray
     dim: int = field(init=False)
-    _min_eigenvalue: InitVar[float | None] = None
 
-    def __post_init__(self, _min_eigenvalue):
-        m = _as_complex_matrix(self.entries, "DensityMatrix")
-        sym, _ = _densities(m, _min_eigenvalue)
-        object.__setattr__(self, "entries", _frozen(sym))
+    def __post_init__(self):
+        if isinstance(self.entries, _Checked):
+            m = self.entries.view
+        else:
+            m = _frozen(_densities(_as_complex_matrix(self.entries, "DensityMatrix"))[0])
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
 
     @staticmethod
@@ -188,6 +208,18 @@ class DensityMatrix:
     @staticmethod
     def maximally_mixed(dim: int) -> "DensityMatrix":
         return DensityMatrix(np.eye(dim) / dim)
+
+
+def _density_stack(m: np.ndarray, min_eigenvalues=None) -> list[DensityMatrix]:
+    """The DensityMatrix of each matrix of a C-ordered stack (n, d, d), checked
+    as one stack by _densities (which takes ``min_eigenvalues`` as it does).
+    The Hermitian parts are written into m, and each value holds a read-only
+    view of its matrix there: the bits and the checks of DensityMatrix(m[i]),
+    without a second check per matrix."""
+    m[...] = _densities(m, min_eigenvalues)[0]
+    frozen = m.view()
+    frozen.setflags(write=False)
+    return [DensityMatrix(_Checked(entries)) for entries in frozen]
 
 
 def _check_same_dim(a, b):

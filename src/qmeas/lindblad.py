@@ -8,7 +8,9 @@ constant kappa, the density matrix obeys
 (hbar = 1). The kappa/2 coefficient is the package-wide convention anchor:
 the selective descriptions in :mod:`qmeas.chm` and :mod:`qmeas.sse` are
 calibrated so that readout averaging reproduces exactly this equation.
-Integration is fixed-step classical RK4 for reproducibility.
+Integration is fixed-step classical RK4 for reproducibility. The states are
+kept in one stack, and the guards (finite, trace drift, positivity, the
+DensityMatrix checks) run once per block of steps on it, not step by step.
 """
 
 from __future__ import annotations
@@ -22,12 +24,16 @@ from .hilbert import (
     DensityMatrix,
     HermitianOperator,
     NonHermitianOperator,
+    _density_stack,
     _double_commutator,
+    _lowest_eigenvalues,
+    _zero_non_finite,
     matrix_exponential,
 )
 from .readout import TimeGrid
 
 POSITIVITY_ABORT = -1e-6
+BLOCK_CELLS = 8192  # matrix entries of the states checked as one stack, as cli.CSV_SLICE bounds a slice
 EXACT_MAX_DIM = 16  # expm of the d^2 x d^2 superoperator costs ~d^6 (4096 x 4096 at d = 64)
 
 
@@ -83,16 +89,58 @@ def _rk4(f, y: np.ndarray, dt: float, n_sub: int = 1) -> np.ndarray:
     return y
 
 
-def _settle(rho: np.ndarray, where: str, fix_non_finite: str, fix_drift: str) -> np.ndarray:
-    """Check a propagated rho for non-finite entries and a trace drift above
-    1e-9, then re-symmetrize and trace-renormalize it."""
-    if not np.all(np.isfinite(rho)):
-        raise IntegrationError(f"non-finite density matrix {where}; {fix_non_finite}")
-    drift = abs(complex(np.trace(rho)) - 1.0)
-    if drift > 1e-9:
-        raise IntegrationError(f"trace drift {drift:.3g} {where} exceeds 1e-9; {fix_drift}")
+def _blocks(n_steps: int, dim: int) -> list[range]:
+    """Steps 1 to n_steps in blocks of max(1, BLOCK_CELLS // dim**2) steps:
+    the states of one block are checked as one stack."""
+    size = max(1, BLOCK_CELLS // dim**2)
+    return [range(k, min(k + size, n_steps + 1)) for k in range(1, n_steps + 1, size)]
+
+
+def _first(bad: np.ndarray) -> int:
+    """The index of the first True of a mask, its length if none."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else bad.size
+
+
+def _renormalized(rho: np.ndarray) -> np.ndarray:
+    """rho re-symmetrized and trace-renormalized."""
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
+
+
+def _checked(
+    raw: np.ndarray,
+    states: np.ndarray,
+    where,
+    fix_non_finite: str,
+    fix_drift: str,
+    fix_positivity: str | None = None,
+) -> list[DensityMatrix]:
+    """The DensityMatrix values of a block of steps: raw (n, d, d) the
+    propagated matrices, states (n, d, d) their renormalized states, which
+    become the values' entries. Step j passes, in this order: raw[j] finite;
+    its trace drift below 1e-9; with ``fix_positivity``, no eigenvalue of
+    states[j] below POSITIVITY_ABORT; the DensityMatrix checks of states[j].
+    The first step that fails raises its first failing check's error, named
+    ``where(j)``; every check runs once on the stack."""
+    finite = np.all(np.isfinite(raw), axis=(-2, -1))
+    dev = np.trace(_zero_non_finite(raw)[0], axis1=-2, axis2=-1) - 1.0
+    drift = np.hypot(dev.real, dev.imag)  # the bits of abs(complex), unlike np.abs
+    lo = _lowest_eigenvalues(states)
+    bad = ~finite | (drift > 1e-9)
+    if fix_positivity is not None:
+        bad |= lo < POSITIVITY_ABORT
+    k = _first(bad)
+    out = _density_stack(states[:k], lo[:k])
+    if k == bad.size:
+        return out
+    if not finite[k]:
+        raise IntegrationError(f"non-finite density matrix {where(k)}; {fix_non_finite}")
+    if drift[k] > 1e-9:
+        raise IntegrationError(f"trace drift {drift[k]:.3g} {where(k)} exceeds 1e-9; {fix_drift}")
+    raise IntegrationError(
+        f"positivity violated {where(k)} (eigenvalue {lo[k]:.3g} < {POSITIVITY_ABORT}); {fix_positivity}"
+    )
 
 
 def integrate_lindblad(
@@ -102,10 +150,14 @@ def integrate_lindblad(
 ) -> list[DensityMatrix]:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    Returns the states at all n_steps + 1 grid nodes. Each is re-symmetrized
-    and trace-renormalized; the trace drift before renormalization is checked
-    to stay below 1e-9 per step. An eigenvalue of rho below -1e-6 aborts with a
-    step-size diagnosis instead of silently projecting back.
+    Returns the states at all n_steps + 1 grid nodes, held in one
+    (n_steps + 1, d, d) stack. Each is re-symmetrized and trace-renormalized;
+    the trace drift before renormalization is checked to stay below 1e-9 per
+    step. An eigenvalue of rho below -1e-6 aborts with a step-size diagnosis
+    instead of silently projecting back. The guards run once per block of
+    steps (at most BLOCK_CELLS matrix entries) on the block's stack: a failing
+    run raises the error of its first failing step, as a check after each
+    step would, having stepped at most to the end of that step's block.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
@@ -113,21 +165,28 @@ def integrate_lindblad(
     a = model.A.entries
     kappa = model.kappa
     dt = grid.dt
-    rho = rho0.entries.copy()
+    blocks = _blocks(grid.n_steps, model.dim)
+    states = np.empty((grid.n_steps + 1, model.dim, model.dim), dtype=complex)
+    raw = np.empty((len(blocks[0]), model.dim, model.dim), dtype=complex)
+    rho = rho0.entries
     out = [rho0]
     unstable = f"dt={dt:.3g} is too large for kappa={kappa:.3g} (RK4 unstable)"
-    for k in range(grid.n_steps):
-        rho = _rk4(lambda r: _rhs_raw(h, a, kappa, r), rho, dt)
-        rho = _settle(rho, f"at step {k + 1}", unstable, "reduce dt")
-        lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < POSITIVITY_ABORT:
-            raise IntegrationError(
-                f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < {POSITIVITY_ABORT}); "
-                f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
+    positivity = f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
+    # a step past a failing one may overflow or divide by zero; the block's
+    # check raises for the failing step instead of numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for block in blocks:
+            for j, k in enumerate(block):
+                raw[j] = rho = _rk4(lambda r: _rhs_raw(h, a, kappa, r), rho, dt)
+                states[k] = rho = _renormalized(rho)
+            out += _checked(
+                raw[: len(block)],
+                states[block.start : block.stop],
+                lambda j: f"at step {block.start + j}",
+                unstable,
+                "reduce dt",
+                positivity,
             )
-        # _settle's rho is its own Hermitian part, bit for bit, so lo is the
-        # value DensityMatrix would compute
-        out.append(DensityMatrix(rho, _min_eigenvalue=lo))
     return out
 
 
@@ -142,7 +201,7 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
     Meant for one final state at small dimension (d <= EXACT_MAX_DIM); longer
     histories and larger systems go through :func:`integrate_lindblad`. The
     result passes the same trace-drift (1e-9) and finiteness checks as an RK4
-    step and is validated as a DensityMatrix.
+    step, on a stack of one, and is validated as a DensityMatrix.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
@@ -156,10 +215,13 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
     cols = [_rhs_raw(model.H.entries, model.A.entries, model.kappa, e) for e in basis]
     sup = np.array(cols).reshape(d * d, d * d).T
     prop = matrix_exponential(NonHermitianOperator(sup), t).entries
-    rho = (prop @ rho0.entries.ravel()).reshape(d, d)
+    raw = (prop @ rho0.entries.ravel()).reshape(1, d, d)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        states = _renormalized(raw[0])[None]
     fallback = "integrate with integrate_lindblad"
-    rho = _settle(rho, f"from exp(L t) at t={t:.3g}", fallback, f"split t or {fallback}")
-    return DensityMatrix(rho)
+    where = f"from exp(L t) at t={t:.3g}"
+    [rho] = _checked(raw, states, lambda j: where, fallback, f"split t or {fallback}")
+    return rho
 
 
 def kappa_from_brownian(eta: float, temperature: float) -> float:

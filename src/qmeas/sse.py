@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationError, ValidationError
-from .hilbert import DensityMatrix, QuantumState, _densities, _trace_distances
+from .hilbert import DensityMatrix, QuantumState, _densities, _density_stack, _trace_distances
 from .lindblad import MonitoringModel, integrate_lindblad
 from .readout import ReadoutRecord, TimeGrid
 
@@ -518,8 +518,7 @@ def ensemble_average(
     (n_traj, seed_base) regardless of execution order. With n_traj = 1 the
     result degenerates to the projector sequence of that single trajectory."""
     rho_sum = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
-    means, lows = mean_states(rho_sum, n_traj)
-    mean = tuple(DensityMatrix(m, _min_eigenvalue=lo) for m, lo in zip(means, lows))
+    mean = tuple(_density_stack(_mean(rho_sum, n_traj)))
     return EnsembleSummary(n_traj=n_traj, mean_rho=mean, seed_base=seed_base, grid=grid)
 
 

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeas import chm as chm_mod
+from qmeas import lindblad as lindblad_mod
 from qmeas.chm import (
     RESOLUTION_GUARD,
     SUBSTEP_TARGET,
     MonitoringModel,
+    PartialPropagator,
     effective_hamiltonian,
     generalized_unitarity_defect,
     marginalize_readouts,
@@ -26,6 +28,7 @@ from qmeas.errors import (
 from qmeas.hilbert import (
     DensityMatrix,
     HermitianOperator,
+    NonHermitianOperator,
     QuantumState,
     basis_state,
     pauli_x,
@@ -420,22 +423,24 @@ class TestMarginalizedStates:
         n_steps=st.integers(1, 10),
     )
     @settings(max_examples=30, deadline=None)
-    def test_reused_spectrum_builds_the_public_density_matrix(self, dim, seed, n_steps):
-        # each state reuses the positivity abort's eigenvalue; it must be the
-        # state and the eigenvalue that DensityMatrix(rho) computes
+    def test_stack_builds_the_public_density_matrix(self, dim, seed, n_steps):
+        # the states are checked as one stack per block, reusing the
+        # positivity abort's eigenvalues; each must be the state and the
+        # eigenvalue that DensityMatrix(rho) computes
         rng = np.random.default_rng(seed)
         h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         model = MonitoringModel(h, a, rng.uniform(0.1, 2.0))
         psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         built = []
+        stack = chm_mod._density_stack
 
-        def recording(m, _min_eigenvalue=None):
-            built.append((m.copy(), _min_eigenvalue))
-            return DensityMatrix(m, _min_eigenvalue=_min_eigenvalue)
+        def recording(m, min_eigenvalues=None):
+            built.extend(zip(m.copy(), min_eigenvalues))
+            return stack(m, min_eigenvalues)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chm_mod, "DensityMatrix", recording)
+            mp.setattr(chm_mod, "_density_stack", recording)
             grid = TimeGrid(0.0, rng.uniform(1e-3, 0.05), n_steps)
             out = marginalize_readouts(model, DensityMatrix.from_state(psi0), grid)
         assert len(built) == len(out) - 1 == n_steps
@@ -443,6 +448,24 @@ class TestMarginalizedStates:
             public = DensityMatrix(m)
             assert state.entries.tobytes() == public.entries.tobytes()
             assert lo == float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+
+    def test_positivity_abort_names_its_step_in_a_later_block(self, monkeypatch):
+        # a kernel that grows coherences by 1 + 6e-10 a step takes the lower
+        # eigenvalue of |+><+| to -3e-10 k at step k: -1.2e-9 first at step 4,
+        # the second step of the second two-step block
+        kernel = np.array([[1.0, 1.0 + 6e-10], [1.0 + 6e-10, 1.0]])
+        monkeypatch.setattr(FuzzySlice, "dephasing_kernel", lambda self, order: kernel)
+        monkeypatch.setattr(lindblad_mod, "BLOCK_CELLS", 8)
+        model = MonitoringModel(H_ZERO, pauli_z(), 0.5)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        message = (
+            r"^marginalized state lost positivity at step 4 \(eigenvalue -1\.2e-09\); "
+            r"reduce dt or kappa, or raise quad_order$"
+        )
+        with pytest.raises(IntegrationError, match=message):
+            marginalize_readouts(model, rho0, TimeGrid(0.0, 0.01, 6))
+        out = marginalize_readouts(model, rho0, TimeGrid(0.0, 0.01, 3))
+        assert float(np.min(np.linalg.eigvalsh(out[-1].entries))) < -8e-10
 
 
 class TestSlicedPropagator:
@@ -493,6 +516,16 @@ class TestSlicedPropagator:
         rec = ReadoutRecord(TimeGrid(0.0, 0.05, 30), vals)
         prop = sliced_propagator(model, rec)
         assert np.linalg.norm(prop.matrix.entries, 2) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        # checked before the SVD, which raises LinAlgError on NaN and takes
+        # [[inf, 0], [0, 0.5]] for a contraction
+        rec = constant_record(TimeGrid(0.0, 0.1, 1), 0.0)
+        matrix = NonHermitianOperator(np.array([[bad, 0.0], [0.0, 0.5]]))
+        message = r"^partial propagator entries must be finite; replace nan or inf$"
+        with pytest.raises(ValidationError, match=message):
+            PartialPropagator(matrix, rec)
 
 
 class TestMarginalizedSlice:

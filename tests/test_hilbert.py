@@ -18,6 +18,7 @@ from qmeas.hilbert import (
     plus_state,
     trace_distance,
 )
+from qmeas.hilbert import _density_stack
 
 
 def rand_hermitian(dim, rng):
@@ -61,15 +62,31 @@ class TestTypes:
         with pytest.raises(ValidationError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
-    def test_given_eigenvalue_keeps_the_other_checks(self):
+    def test_stack_with_given_eigenvalues_keeps_the_other_checks(self):
+        half = np.eye(2, dtype=complex) / 2
         with pytest.raises(ValidationError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]), _min_eigenvalue=0.4)
+            _density_stack(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex), [0.4])
         with pytest.raises(ValidationError, match="trace"):
-            DensityMatrix(np.eye(2), _min_eigenvalue=1.0)
+            _density_stack(2 * half[None], [1.0])
         with pytest.raises(ValidationError, match="eigenvalue"):
-            DensityMatrix(np.eye(2) / 2, _min_eigenvalue=-1e-3)
-        rho = DensityMatrix(np.eye(2) / 2, _min_eigenvalue=0.5)
+            _density_stack(half[None], [-1e-3])
+        [rho] = _density_stack(half[None].copy(), [0.5])
         assert rho.entries.tobytes() == DensityMatrix(np.eye(2) / 2).entries.tobytes()
+
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_is_each_density_matrix(self, dim, seed, n):
+        # Hermitian to roundoff, as propagated states are: each value has
+        # the bits of DensityMatrix(m[i]), read-only, without a copy each
+        rng = np.random.default_rng(seed)
+        m = np.stack([rand_density(dim, rng).entries for _ in range(n)])
+        m = m + 1e-15 * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+        m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        alone = [DensityMatrix(x) for x in m]
+        out = _density_stack(m)
+        assert [r.entries.tobytes() for r in out] == [r.entries.tobytes() for r in alone]
+        assert all(r.dim == dim and not r.entries.flags.writeable for r in out)
+        assert all(np.shares_memory(r.entries, m) for r in out)
 
     @pytest.mark.parametrize(
         "kind,entries,message",

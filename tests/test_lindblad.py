@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,35 +356,181 @@ class TestRhsBits:
             assert x.entries.tobytes() == y.entries.tobytes()
 
 
+def _reference_integrate(model, rho0, grid):
+    """integrate_lindblad as it was, checking each step alone before the next
+    one and building each DensityMatrix on its own; frozen here so that the
+    block-checked stack is held to its bits and its errors. It steps through
+    the module's _rk4 and _rhs_raw, so a test that patches them patches both."""
+    h, a, kappa, dt = model.H.entries, model.A.entries, model.kappa, grid.dt
+    rho = rho0.entries.copy()
+    out = [rho0]
+    unstable = f"dt={dt:.3g} is too large for kappa={kappa:.3g} (RK4 unstable)"
+    for k in range(grid.n_steps):
+        rho = lindblad_mod._rk4(lambda r: lindblad_mod._rhs_raw(h, a, kappa, r), rho, dt)
+        if not np.all(np.isfinite(rho)):
+            raise IntegrationError(f"non-finite density matrix at step {k + 1}; {unstable}")
+        drift = abs(complex(np.trace(rho)) - 1.0)
+        if drift > 1e-9:
+            raise IntegrationError(f"trace drift {drift:.3g} at step {k + 1} exceeds 1e-9; reduce dt")
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        lo = float(np.min(np.linalg.eigvalsh(rho)))
+        if lo < -1e-6:
+            raise IntegrationError(
+                f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < -1e-06); "
+                f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
+            )
+        out.append(DensityMatrix(rho))
+    return out
+
+
 class TestStoredStates:
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        degenerate=st.booleans(),
+        per_block=st.integers(1, 6),
+        blocks=st.integers(2, 4),
+        extra=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_checks_keep_the_per_step_bits(self, dim, seed, degenerate, per_block, blocks, extra):
+        # per_block steps a block, and a grid of more than one block
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        if degenerate:
+            a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+            a_evals[1] = a_evals[0]
+        else:
+            a_evals = rng.uniform(-1.0, 1.0, dim)
+        model = LindbladModel(h, random_hermitian(rng, dim, a_evals), rng.uniform(0.1, 2.0))
+        rho0 = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+        n_steps = (blocks - 1) * per_block + 1 + min(extra, per_block - 1)
+        grid = TimeGrid(0.0, rng.uniform(1e-3, 0.02), n_steps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lindblad_mod, "BLOCK_CELLS", per_block * dim * dim)
+            assert len(lindblad_mod._blocks(n_steps, dim)) == blocks
+            out = integrate_lindblad(model, rho0, grid)
+        ref = _reference_integrate(model, rho0, grid)
+        assert out[0] is rho0
+        assert len(out) == len(ref) == n_steps + 1
+        for x, y in zip(out, ref):
+            assert x.entries.tobytes() == y.entries.tobytes()
+            assert x.dim == dim and not x.entries.flags.writeable
+
+    @pytest.mark.parametrize("dim,n_steps", [(8, 2 * 128 + 5), (64, 5)])
+    def test_default_blocks_keep_the_per_step_bits(self, dim, n_steps):
+        # BLOCK_CELLS = 8192 makes blocks of 128 steps at d = 8 and 2 at d = 64
+        rng = np.random.default_rng(dim)
+        h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+        model = LindbladModel(h, random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim)), 0.5)
+        rho0 = random_density(rng, dim, 2)
+        grid = TimeGrid(0.0, 0.01, n_steps)
+        assert len(lindblad_mod._blocks(n_steps, dim)) == 3
+        out = integrate_lindblad(model, rho0, grid)
+        ref = _reference_integrate(model, rho0, grid)
+        assert [x.entries.tobytes() for x in out] == [y.entries.tobytes() for y in ref]
+
     @given(
         dim=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
         n_steps=st.integers(1, 20),
     )
     @settings(max_examples=40, deadline=None)
-    def test_reused_spectrum_builds_the_public_density_matrix(self, dim, seed, n_steps):
-        # each stored state reuses the positivity abort's eigenvalue; it must
-        # be the state and the eigenvalue that DensityMatrix(rho) computes
+    def test_stack_builds_the_public_density_matrix(self, dim, seed, n_steps):
+        # the stored states are checked as one stack per block, reusing the
+        # positivity abort's eigenvalues; each must be the state and the
+        # eigenvalue that DensityMatrix(rho) computes
         rng = np.random.default_rng(seed)
         h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         a = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         model = LindbladModel(h, a, rng.uniform(0.1, 2.0))
         rho0 = random_density(rng, dim, int(rng.integers(1, dim + 1)))
         built = []
+        stack = lindblad_mod._density_stack
 
-        def recording(m, _min_eigenvalue=None):
-            built.append((m.copy(), _min_eigenvalue))
-            return DensityMatrix(m, _min_eigenvalue=_min_eigenvalue)
+        def recording(m, min_eigenvalues=None):
+            built.extend(zip(m.copy(), min_eigenvalues))
+            return stack(m, min_eigenvalues)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lindblad_mod, "DensityMatrix", recording)
+            mp.setattr(lindblad_mod, "_density_stack", recording)
             out = integrate_lindblad(model, rho0, TimeGrid(0.0, 0.01, n_steps))
         assert len(built) == len(out) - 1 == n_steps
         for (m, lo), state in zip(built, out[1:]):
             public = DensityMatrix(m)
             assert state.entries.tobytes() == public.entries.tobytes()
             assert lo == float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+
+
+class TestBlockGuards:
+    """A failing run raises the error of its first failing step, with the
+    type and text of the frozen per-step loop, and steps at most to the end
+    of that step's block."""
+
+    MODEL = LindbladModel(pauli_x(), pauli_z(), 0.5)
+    RHO0 = DensityMatrix.from_state(basis_state(2, 0))
+
+    @staticmethod
+    def _both(monkeypatch, step, fault, model, rho0, grid):
+        """[(text, steps run)] of integrate_lindblad and of the frozen loop,
+        each run with RK4 results passed through ``fault`` from step ``step``
+        on and numpy warnings raised as errors; both raise IntegrationError."""
+        real = lindblad_mod._rk4
+        got = []
+        for run in (integrate_lindblad, _reference_integrate):
+            steps = []
+
+            def rk4(f, y, dt):
+                steps.append(None)
+                out = real(f, y, dt)
+                return fault(out) if len(steps) >= step else out
+
+            monkeypatch.setattr(lindblad_mod, "_rk4", rk4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationError) as info:
+                    run(model, rho0, grid)
+            got.append((str(info.value), len(steps)))
+        return got
+
+    def test_drift_in_a_later_block_reports_its_own_step(self, monkeypatch):
+        # four steps a block; a trace drift of 2e-8 from step 6 on
+        monkeypatch.setattr(lindblad_mod, "BLOCK_CELLS", 16)
+        grid = TimeGrid(0.0, 0.01, 12)
+        new, frozen = self._both(monkeypatch, 6, lambda r: r + 1e-8 * np.eye(2), self.MODEL, self.RHO0, grid)
+        assert new == ("trace drift 2e-08 at step 6 exceeds 1e-9; reduce dt", 8)
+        assert frozen == (new[0], 6)
+
+    def test_positivity_before_non_finite_in_one_block(self, monkeypatch):
+        # kappa = 100 at dt = 0.05 breaks positivity at step 1; from step 3
+        # on, the states of the same block are NaN
+        model = LindbladModel(H_ZERO, pauli_z(), 100.0)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        grid = TimeGrid(0.0, 0.05, 50)
+        new, frozen = self._both(monkeypatch, 3, lambda r: np.nan * r, model, rho0, grid)
+        assert new[0] == frozen[0]
+        assert new[0].startswith("positivity violated at step 1 (eigenvalue ")
+        assert new[1] == 50 and frozen[1] == 1
+
+    @pytest.mark.parametrize(
+        "fault", [lambda r: np.full_like(r, np.nan), lambda r: r + np.diag([np.inf, 0.0])]
+    )
+    def test_non_finite_state_raises_the_non_finite_text(self, monkeypatch, fault):
+        # the states from step 2 on are non-finite, and the stacked eigvalsh
+        # sees them all; it must not raise LinAlgError
+        grid = TimeGrid(0.0, 0.01, 10)
+        new, frozen = self._both(monkeypatch, 2, fault, self.MODEL, self.RHO0, grid)
+        assert new[0] == frozen[0] == (
+            "non-finite density matrix at step 2; dt=0.01 is too large for kappa=0.5 (RK4 unstable)"
+        )
+
+    def test_zero_trace_step_raises_the_drift_text(self, monkeypatch):
+        # a finite RK4 result of trace 0 has no finite renormalization; the
+        # drift check before it names the step
+        grid = TimeGrid(0.0, 0.01, 10)
+        new, frozen = self._both(monkeypatch, 2, np.zeros_like, self.MODEL, self.RHO0, grid)
+        assert new[0] == frozen[0] == "trace drift 1 at step 2 exceeds 1e-9; reduce dt"
 
 
 class TestKappaConstructors:
