@@ -236,14 +236,6 @@ def parse_matrix(text: str, line: int, key: str) -> np.ndarray:
 
 def _hermitian_from_text(text: str, line: int, name: str) -> HermitianOperator:
     m = parse_matrix(text, line, name.lower())
-    defect = np.abs(m - m.conj().T)
-    if defect.max() > 1e-12:
-        i, j = np.unravel_index(np.argmax(defect), m.shape)
-        raise ConfigError(
-            f"{name} is not Hermitian: entry ({i},{j})={m[i, j]:.6g} does not "
-            f"conjugate-match ({j},{i})={m[j, i]:.6g}",
-            line,
-        )
     try:
         return HermitianOperator(m)
     except ValidationError as exc:

@@ -148,15 +148,14 @@ def run_zeno_scan(
         raise ValidationError("kappa_list must be sorted ascending")
     if system.rabi <= 0:
         raise ValidationError("zeno scan needs a positive Rabi frequency")
+    if n_traj < 0:
+        raise ValidationError("n_traj must be >= 0; 0 skips the stochastic cross-check")
     t_flip = np.pi / system.rabi
     ensembles = []
     for kappa in kappas:
         sys_k = DrivenTwoLevel(system.level_splitting, system.rabi, float(kappa))
         grid = _scan_grid(sys_k, t_flip)
-        # only the final node is read, so only its projector sums are kept
-        ensembles.append(
-            (sys_k.monitoring_model(), sys_k.ground_state(), grid, n_traj, seed, grid.n_steps)
-        )
+        ensembles.append((sys_k.monitoring_model(), sys_k.ground_state(), grid, n_traj, seed))
 
     def exact_states():
         return [lindblad_exact(m, DensityMatrix.from_state(g), t_flip) for m, g, *_ in ensembles]
@@ -164,9 +163,10 @@ def run_zeno_scan(
     distances = np.full(kappas.size, np.nan)
     if n_traj > 0:
         # the exact propagators (and scipy's import) run while the pool steps
-        sums, exact = ensemble_sums(ensembles, workers, local=exact_states)
-        for i, rho_sum in enumerate(sums):
-            distances[i] = trace_distance(mean_density(rho_sum[-1], n_traj), exact[i])
+        # only the final node is read, so only its projector sums are kept
+        sums, exact = ensemble_sums(ensembles, workers, local=exact_states, final=True)
+        for i, [rho_sum] in enumerate(sums):
+            distances[i] = trace_distance(mean_density(rho_sum, n_traj), exact[i])
     else:
         exact = exact_states()
     transfers = np.array([rho.entries[0, 0].real for rho in exact])
@@ -207,7 +207,9 @@ def analyze_rabi_line(
     on each side, with the LINE_CORE_BINS bins of the line core left out), so the test
     asks whether a discrete line stands out of the local spectral background.
     Detected means the peak sits within ``max_offset_bins`` of the line and
-    carries at least 3x the background median.
+    carries at least 3x the background median. A band with no bin outside
+    the line core (band_bins <= LINE_CORE_BINS, or a spectrum that ends
+    there) raises ValidationError.
     """
     freqs = spectrum[:, 0]
     power = spectrum[:, 1]
@@ -226,6 +228,11 @@ def analyze_rabi_line(
         for j in range(max(1, i0 - band_bins), min(len(power), i0 + band_bins + 1))
         if abs(j - i0) > LINE_CORE_BINS
     ]
+    if not band:  # its median would be NaN and read as a detected line
+        raise ValidationError(
+            f"no background bins around the Rabi line: [rabi] band_bins = {band_bins} "
+            f"must exceed LINE_CORE_BINS = {LINE_CORE_BINS}, the line-core bins left out"
+        )
     background = float(np.median(power[band]))
     ratio = float(power[peak] / background) if background > 0 else np.inf
     offset = peak - i0

@@ -28,10 +28,10 @@ trajectory is bit-reproducible from its seed alone, independent of batch
 composition and worker scheduling. An ensemble returns projector sums only,
 taken over fixed chunks of 64 trajectories: each contiguous share of chunks
 is stepped together in one time loop, and the per-chunk sums are still
-reduced in chunk order. A share's projector sums are taken on its d-major
-states (see below) by the einsum of a (batch, d) layout with its operands'
-axes permuted, which keeps the order of the sum over the batch, so no
-(batch, d) copy is made.
+reduced in chunk order. A share keeps them at every grid node or at the
+final node alone, taken on its d-major states (see below) by the einsum of
+a (batch, d) layout on their transposed view, which keeps the order of the
+sum over the batch, so no (batch, d) copy is made.
 
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
@@ -257,19 +257,11 @@ def _by_chunk(x: np.ndarray, reduce, out: np.ndarray):
 
 def _projector_sums(psi: np.ndarray, out: np.ndarray):
     """out[c] = the sum of |psi><psi| over the states of chunk c of d-major
-    states psi (d, batch): all full chunks in one einsum on the (d, chunks,
-    CHUNK) view, a partial last alone. It is the einsum "gbi,gbj->gij" of a
-    (batch, d) layout with its operands' axes permuted. numpy adds each sum
-    over the batch in batch order in either layout, so the bits equal those
-    of that einsum on a C-contiguous (batch, d) copy, without the copy."""
-    d, b = psi.shape
-    full = b // CHUNK
-    if full:
-        g = psi[:, : full * CHUNK].reshape(d, full, CHUNK)
-        out[:full] = np.einsum("igb,jgb->gij", g, g.conj())
-    if full < len(out):
-        g = psi[:, full * CHUNK :][:, None]
-        out[full] = np.einsum("igb,jgb->gij", g, g.conj())[0]
+    states psi (d, batch): the einsum "gbi,gbj->gij" by _by_chunk on the
+    (batch, d) view psi.T. numpy adds each sum over the batch in batch order
+    whatever the strides, so the bits equal those of that einsum on a
+    C-contiguous (batch, d) copy, without the copy."""
+    _by_chunk(psi.T, lambda g: np.einsum("gbi,gbj->gij", g, g.conj()), out)
 
 
 def _run_batch(
@@ -277,15 +269,16 @@ def _run_batch(
     psi0: QuantumState,
     grid: TimeGrid,
     seeds: list[int] | range,
-    store_every: int | None = None,
+    final: bool | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
     """Advance a batch of trajectories in one time loop; returns (history,
-    records, projector sums). Without ``store_every``, a trajectory run:
-    history (batch, n+1, dim), records (batch, n) and no sums. With it, an
-    ensemble share: neither history nor records, only projector sums per
-    chunk of CHUNK seeds at ``grid.stored_nodes(store_every)`` (chunks, nodes,
-    dim, dim). A chunk's sums add its trajectories in seed order, so they are
-    the same bits in any batch. The time loop steps d-major states (dim,
+    records, projector sums). Without ``final``, a trajectory run: history
+    (batch, n+1, dim), records (batch, n) and no sums. With it, an ensemble
+    share: neither history nor records, only projector sums per chunk of
+    CHUNK seeds, (chunks, nodes, dim, dim), at every grid node for
+    final=False and at the final node alone for final=True. A chunk's sums
+    add its trajectories in seed order, so they are the same bits in any
+    batch and in either mode. The time loop steps d-major states (dim,
     batch), and _projector_sums reads them in that layout.
     """
     b = len(seeds)
@@ -294,18 +287,17 @@ def _run_batch(
     dt = grid.dt
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
     psi, spare = np.repeat(psi0.amplitudes[:, None], b, axis=1), np.empty((d, b), complex)
-    if store_every is None:
-        nodes, sums = [], None
+    every = final is False  # sums at each node as the loop reaches it
+    if final is None:
+        sums = None
         # time-major, so each step writes its states to one contiguous row
         hist, recs = np.empty((n + 1, d, b), dtype=complex), np.empty((b, n))
         hist[0] = psi
     else:
-        nodes, hist, recs = grid.stored_nodes(store_every), None, None
-        sums = np.empty((-(-b // CHUNK), len(nodes), d, d), dtype=complex)
-        _projector_sums(psi, sums[:, 0])
-    # the next kept node and its row of sums; past the grid when none is left
-    pending = iter(enumerate(nodes[1:], start=1))
-    row, next_node = next(pending, (0, n + 1))
+        hist, recs = None, None
+        sums = np.empty((-(-b // CHUNK), n + 1 if every else 1, d, d), dtype=complex)
+        if every:
+            _projector_sums(psi, sums[:, 0])
     step = _step_kernel(model.H.entries, model.A.entries, model.kappa, dt, b)
     rec_scale = 1.0 / (2.0 * np.sqrt(model.kappa) * dt)
     # Balanced blocks, so none is a single step when n > 1: numpy sums a
@@ -327,14 +319,15 @@ def _run_batch(
                 out = hist[node] if hist is not None else spare
                 step(psi, noise[k], out, exps[k], norms[k])
                 psi, spare = out, psi
-                if node == next_node:
-                    _projector_sums(psi, sums[:, row])
-                    row, next_node = next(pending, (0, n + 1))
+                if every:
+                    _projector_sums(psi, sums[:, node])
         _check_norms(norms[:m])
         if recs is not None:
             block = recs[:, start:stop]
             np.multiply(dws, rec_scale, out=block)
             np.add(exps[:m].T, block, out=block)
+    if final:
+        _projector_sums(psi, sums[:, 0])
     if hist is not None:  # the (batch, n+1, d) C layout callers read; no copy at batch 1
         hist = np.ascontiguousarray(hist.transpose(2, 0, 1))
     return hist, recs, sums
@@ -359,10 +352,11 @@ def simulate_trajectory(
 
 
 def _chunk_task(args) -> np.ndarray:
-    """Pool task: the per-chunk projector sums at the stored nodes of one
-    share of seeds, (chunks, nodes, d, d)."""
-    model, psi0, grid, store_every, seeds = args
-    return _run_batch(model, psi0, grid, seeds, store_every)[2]
+    """Pool task: the per-chunk projector sums of one share of seeds,
+    (chunks, nodes, d, d), at every node or, with ``final``, the final
+    node alone."""
+    model, psi0, grid, final, seeds = args
+    return _run_batch(model, psi0, grid, seeds, final)[2]
 
 
 def _share_cuts(jobs: list[tuple[int, int]], workers: int) -> list[list[int]]:
@@ -438,30 +432,30 @@ def fold_chunks(shares) -> np.ndarray:
     return total
 
 
-def ensemble_sums(ensembles, workers: int = 1, local=None) -> tuple[list[np.ndarray], object]:
+def ensemble_sums(
+    ensembles, workers: int = 1, local=None, final: bool = False
+) -> tuple[list[np.ndarray], object]:
     """The projector sums of each of ``ensembles``, tuples (model, psi0,
-    grid, n_traj, seed_base, store_every), kept at
-    ``grid.stored_nodes(store_every)`` (every node at store_every = 1, as
-    integrate_lindblad keeps); a kept node's sums have the same bits for any
-    ``store_every``. All
-    ensembles run by one map_shares call: every input is checked before any
-    fork, and the shares of all ensembles share one pool. Each ensemble's
-    chunk sums are folded in chunk order, so the bits do not depend on the
-    worker count or on the other ensembles. Returns (a list of projector sums
-    (nodes, d, d), one per ensemble, the result of ``local``): map_shares
-    runs ``local`` while the pool runs the shares."""
+    grid, n_traj, seed_base), at every grid node, as integrate_lindblad
+    keeps, or with ``final`` at the final node alone: that node's sums, the
+    same bits, without the others. All ensembles run by one map_shares call:
+    every input is checked before any fork, and the shares of all ensembles
+    share one pool. Each ensemble's chunk sums are folded in chunk order, so
+    the bits do not depend on the worker count or on the other ensembles.
+    Returns (a list of projector sums (nodes, d, d), one per ensemble, the
+    result of ``local``): map_shares runs ``local`` while the pool runs the
+    shares."""
     jobs = []
-    for model, psi0, grid, n_traj, seed_base, store_every in ensembles:
+    for model, psi0, grid, n_traj, seed_base in ensembles:
         if model.dim != psi0.dim:
             raise DimensionMismatchError(f"model dim {model.dim} != state dim {psi0.dim}")
         if n_traj < 1:
             raise ValidationError("n_traj must be >= 1")
         if seed_base < 0:
             raise ValidationError(f"seed_base {seed_base} is negative; use a seed >= 0")
-        grid.stored_nodes(store_every)  # rejects a bad store_every
         _guard(model, grid.dt)
         seeds = range(seed_base, seed_base + n_traj)
-        jobs.append(((model, psi0, grid, store_every), seeds, grid.n_steps))
+        jobs.append(((model, psi0, grid, final), seeds, grid.n_steps))
     shares, mine = map_shares(_chunk_task, jobs, workers, local)
     return [fold_chunks(parts) for parts in shares], mine
 
@@ -482,7 +476,7 @@ def ensemble_accumulate(
     chunk partial sums are combined in chunk order, so the result is
     identical for any worker count (see ensemble_sums).
     """
-    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base, 1)], workers)
+    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base)], workers)
     return sums
 
 
@@ -540,7 +534,7 @@ def compare_to_master(
     ensemble_average's states, ``np.trace(A @ M).real`` and trace_distance
     node by node, for any worker count."""
     [rho_sum], ref = ensemble_sums(
-        [(model, psi0, grid, n_traj, seed_base, 1)],
+        [(model, psi0, grid, n_traj, seed_base)],
         workers,
         local=lambda: integrate_lindblad(model, DensityMatrix.from_state(psi0), grid),
     )

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +80,8 @@ class TestParseConfig:
 _LIN = "[run]\nscenario = lindblad\n[model]\n"
 _ZENO = "[run]\nscenario = zeno\n"
 
-# one invalid config per `raise ConfigError` in config.py: (text, line, message)
+# one invalid config per `raise ConfigError` in config.py, two for the one that
+# relays HermitianOperator's checks: (text, line, message)
 INVALID_CONFIGS = [
     (_LIN + "a = 1+0i x ; 0 1\n", 4, "bad complex entry 'x' (use forms like 1+0i)"),
     (_LIN + "a = nan 0 ; 0 1\n", 4, "a must be finite, got 'nan'"),
@@ -88,7 +90,8 @@ INVALID_CONFIGS = [
     (
         _LIN + "a = 0+0i 1+0i ; 0+0i 0+0i\n",
         4,
-        "A is not Hermitian: entry (0,1)=1+0j does not conjugate-match (1,0)=0+0j",
+        "A: matrix is not Hermitian: entry (0,1)=1+0j does not conjugate-match (1,0)=0+0j "
+        "(defect 1)",
     ),
     (_LIN + "a = 1\n", 4, "A: operator dimension must be >= 2, got 1"),
     (_LIN + "psi0 = 1 0 0\n", 4, "psi0 must have 2 amplitudes, got 3"),
@@ -837,6 +840,21 @@ class TestRecordExportFormat:
         rec = parse_record((out / "record.csv").read_text(encoding="utf-8"))
         assert rec.grid.n_steps == 20000
         assert rec.grid.dt == pytest.approx(0.001)
+
+    def test_empty_background_band_is_validation_error(self, tmp_path, capsys):
+        # frozen regime: band_bins = 3 leaves no bin outside the line core,
+        # which read as a detected line with no power ratio
+        text = (
+            "[run]\nscenario = rabi-monitor\nseed = 1\n[model]\nkappa = 10\n"
+            "[grid]\nn_steps = 20000\n[rabi]\nband_bins = 3\nsearch_bins = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # outside the soft regime
+            rc, out = run_cli(tmp_path, "emptyband", text)
+        assert rc == 1
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "[rabi] band_bins" in err[0]
 
     def test_unresolvable_rabi_line_is_validation_error(self, tmp_path):
         # T = 2 gives 0.5-per-bin resolution, far above the Rabi line

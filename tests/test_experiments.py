@@ -6,6 +6,7 @@ import pytest
 
 from qmeas.errors import ValidationError
 from qmeas.experiments import (
+    LINE_CORE_BINS,
     DrivenTwoLevel,
     _scan_grid,
     analyze_rabi_line,
@@ -55,6 +56,12 @@ class TestZenoScan:
         scan = run_zeno_scan(soft_system(), [0.1, 1.0, 10.0, 100.0], n_traj=0)
         p = scan.transfer_probabilities
         assert np.all(np.diff(p) <= 1e-12)
+
+    def test_negative_n_traj_is_rejected(self):
+        # a negative count would skip the cross-check and report NaN distances
+        message = "n_traj must be >= 0; 0 skips the stochastic cross-check"
+        with pytest.raises(ValidationError, match=message):
+            run_zeno_scan(DrivenTwoLevel(2, 1, 1), [0.1, 1], n_traj=-5)
 
     def test_sse_cross_check_inside_scenario(self):
         scan = run_zeno_scan(soft_system(), [1.0], n_traj=2000, seed=0)
@@ -192,6 +199,20 @@ class TestRabiMonitor:
         assert abs(stats.offset_bins) <= 2
         assert stats.power_ratio >= 3.0
 
+    @pytest.mark.parametrize("band_bins", range(1, LINE_CORE_BINS + 1))
+    def test_empty_background_band_is_rejected(self, band_bins):
+        # every band bin lies in the line core: no background median, so no
+        # ratio; pure noise must not read as a detected line
+        values = np.random.default_rng(1).standard_normal(20000)
+        spectrum = periodogram(values, 1e-3)
+        message = rf"\[rabi\] band_bins = {band_bins} must exceed"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                analyze_rabi_line(spectrum, 1.0, search_bins=1, band_bins=band_bins)
+            stats = analyze_rabi_line(spectrum, 1.0, search_bins=1, band_bins=LINE_CORE_BINS + 1)
+        assert np.isfinite(stats.power_ratio)
+
     def test_frozen_regime_line_lost(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -279,14 +300,14 @@ class TestScenarioDeterminism:
         # the scan's internal cross-check, reproduced externally
         system = soft_system(1.0)
         grid = TimeGrid(0.0, 1e-3, 1000)
-        [rho_sum], _ = ensemble_sums(
-            [(system.monitoring_model(), system.ground_state(), grid, 500, 2, grid.n_steps)]
+        [[rho_sum]], _ = ensemble_sums(
+            [(system.monitoring_model(), system.ground_state(), grid, 500, 2)], final=True
         )
         ref = integrate_lindblad(
             system.lindblad_model(),
             DensityMatrix.from_state(system.ground_state()),
             grid,
         )
-        mean_final = rho_sum[-1] / 500
+        mean_final = rho_sum / 500
         d = trace_distance(DensityMatrix(0.5 * (mean_final + mean_final.conj().T)), ref[-1])
         assert d <= 0.05

@@ -292,10 +292,10 @@ class TestEnsemble:
         seeds = list(range(40, 104))
         hist, _, no_sums = _run_batch(model, plus_state(2), grid, seeds)
         assert hist.shape == (64, 151, 2) and no_sums is None
-        no_hist, no_recs, sums = _run_batch(model, plus_state(2), grid, seeds, 1)
+        no_hist, no_recs, sums = _run_batch(model, plus_state(2), grid, seeds, False)
         assert no_hist is None and no_recs is None
         assert _same_bits(sums, _reference_chunk(model, plus_state(2), grid, seeds)[2][None])
-        assert _same_bits(_chunk_task((model, plus_state(2), grid, 1, seeds)), sums)
+        assert _same_bits(_chunk_task((model, plus_state(2), grid, False, seeds)), sums)
 
 
 def _reference_raw(h, a, kappa, psi, dw, dt):
@@ -428,7 +428,7 @@ class TestAgainstPerChunkReference:
         hist, recs, _ = _run_batch(model, psi0, grid, seeds)
         assert _same_bits(hist, np.concatenate([p[0] for p in parts]))
         assert _same_bits(recs, np.concatenate([p[1] for p in parts]))
-        _, _, sums = _run_batch(model, psi0, grid, seeds, 1)
+        _, _, sums = _run_batch(model, psi0, grid, seeds, False)
         assert _same_bits(sums, np.stack([p[2] for p in parts]))
         # the one-step entry point runs the same kernel
         psi = hist[:, -1] * rng.uniform(0.5, 2.0)
@@ -567,7 +567,7 @@ class TestLocal:
         # 260 seeds are five chunks, so two shares at 2 and 3 workers
         calls = []
         model, grid = dephasing_model(h=pauli_x()), TimeGrid(0.0, 1e-3, 20)
-        ensemble = (model, plus_state(2), grid, 260, 4, 1)
+        ensemble = (model, plus_state(2), grid, 260, 4)
         [sums], mine = ensemble_sums([ensemble], workers, local=lambda: calls.append(os.getpid()))
         assert calls == [os.getpid()] and mine is None
         [alone], nothing = ensemble_sums([ensemble], workers)
@@ -665,58 +665,40 @@ class TestStackedMeans:
         assert all(_same_bits(x.entries, y.entries) for x, y in zip(summary.mean_rho, means))
 
 
-class TestStoreEvery:
-    """ensemble_sums' projector sums kept only at t0, every store_every-th
-    step and the final node are the bits of those rows of the all-node sums."""
+class TestFinalNode:
+    """ensemble_sums' projector sums kept at the final node alone are the
+    bits of the last row of the all-node sums."""
 
     @given(
         dim=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
         n_traj=st.sampled_from([1, 64, 65, 150, 257]),
         n_steps=st.integers(1, 40),
-        store_every=st.integers(1, 50),
         workers=st.sampled_from([1, 2]),
     )
     # two shares at 2 workers, the second ending in a partial chunk
-    @example(dim=2, seed=0, n_traj=257, n_steps=30, store_every=10, workers=2)  # divides
-    @example(dim=3, seed=1, n_traj=400, n_steps=30, store_every=7, workers=2)  # does not
-    @example(dim=2, seed=2, n_traj=64, n_steps=12, store_every=12, workers=1)  # final only
+    @example(dim=2, seed=0, n_traj=257, n_steps=30, workers=2)
+    @example(dim=3, seed=1, n_traj=257, n_steps=1, workers=2)  # one step
     @settings(max_examples=15, deadline=None)
-    def test_stored_rows_are_the_all_node_bits(
-        self, dim, seed, n_traj, n_steps, store_every, workers
-    ):
+    def test_final_sums_are_the_last_all_node_row(self, dim, seed, n_traj, n_steps, workers):
         rng = np.random.default_rng(seed)
         h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         model, grid = MonitoringModel(h, a, 0.5), TimeGrid(0.0, 1e-3, n_steps)
         every = ensemble_accumulate(model, psi0, grid, n_traj, seed_base=seed % 1000)
-        [some], _ = ensemble_sums([(model, psi0, grid, n_traj, seed % 1000, store_every)], workers)
-        nodes = sorted({*range(0, n_steps + 1, store_every), n_steps})
-        assert grid.stored_nodes(store_every) == nodes
-        assert some.shape == (-(-n_steps // store_every) + 1, dim, dim)
-        assert _same_bits(some, every[nodes])
+        [last], _ = ensemble_sums([(model, psi0, grid, n_traj, seed % 1000)], workers, final=True)
+        assert every.shape == (n_steps + 1, dim, dim) and last.shape == (1, dim, dim)
+        assert last.tobytes() == every[-1].tobytes()
 
     def test_a_final_node_share_does_not_grow_with_the_step_count(self):
         # the zeno cross-check keeps the final node alone, so what a share
         # sends back from a worker has one size at any step count: 130 seeds
-        # are 3 chunks of sums at 2 nodes
+        # are 3 chunks of sums at 1 node
         model, seeds = dephasing_model(kappa=0.5, h=pauli_x()), range(3, 133)
         for n_steps in (10, 1000):
-            share = _chunk_task((model, plus_state(2), TimeGrid(0.0, 1e-3, n_steps), n_steps, seeds))
-            assert (share.shape, share.nbytes) == ((3, 2, 2, 2), 3 * 2 * 4 * 16), n_steps
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
-    def test_guard(self, bad, monkeypatch):
-        # TimeGrid.stored_nodes checks store_every before the pool starts
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        model, grid = dephasing_model(), TimeGrid(0.0, 1e-3, 12)
-        message = rf"store_every must be an integer >= 1, got {bad}; pass 1"
-        with pytest.raises(ValidationError, match=message):
-            ensemble_sums([(model, plus_state(2), grid, 70, 1, bad)], workers=2)
+            share = _chunk_task((model, plus_state(2), TimeGrid(0.0, 1e-3, n_steps), True, seeds))
+            assert (share.shape, share.nbytes) == ((3, 1, 2, 2), 192), n_steps
 
 
 class TestGuards:
