@@ -17,22 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chm import propagate_chm_series
 from .config import RunConfig, describe_keys, parse_config
 from .errors import ConfigError, QmeasError, ValidationError
-from .experiments import (
-    DrivenTwoLevel,
-    analyze_rabi_line,
-    run_rabi_monitor,
-    run_transition_monitor,
-    run_zeno_scan,
-)
-from .hilbert import DensityMatrix
-from .lindblad import MonitoringModel, integrate_lindblad
-from .readout import constant_record, parse_record, reference_log_weight
-from .sse import compare_to_master
-from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
-from .verify import run_all_checks
 
 _EPILOG = f"""\
 config format: [section] lines, each followed by key = value lines; '#' starts
@@ -116,6 +102,9 @@ def _complex_header(dim: int) -> list[str]:
 
 
 def _run_lindblad(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .hilbert import DensityMatrix
+    from .lindblad import MonitoringModel, integrate_lindblad
+
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     rhos = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), grid)
@@ -126,6 +115,10 @@ def _run_lindblad(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_chm(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .chm import propagate_chm_series
+    from .lindblad import MonitoringModel
+    from .readout import constant_record, parse_record, reference_log_weight
+
     if cfg.record_file is not None:
         try:
             text = Path(cfg.record_file).read_text(encoding="utf-8")
@@ -147,6 +140,9 @@ def _run_chm(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_sse_ensemble(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .lindblad import MonitoringModel
+    from .sse import compare_to_master
+
     grid = cfg.grid
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
     expects, dists = compare_to_master(model, cfg.psi0, grid, cfg.n_traj, cfg.seed, workers)
@@ -156,6 +152,8 @@ def _run_sse_ensemble(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_chain(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .chain import FuzzyKraus, run_chain_ensemble, run_decoherence_chain
+
     k = FuzzyKraus(cfg.a, cfg.strength)
     first = run_decoherence_chain(k, cfg.psi0, cfg.n_shots, cfg.seed, cfg.collapse_threshold)
     n = cfg.n_shots
@@ -176,6 +174,8 @@ def _run_chain(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_zeno(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .experiments import DrivenTwoLevel, run_zeno_scan
+
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.zeno_kappas[0])
     scan = run_zeno_scan(
         system, list(cfg.zeno_kappas), n_traj=cfg.zeno_n_traj, seed=cfg.seed, workers=workers
@@ -191,6 +191,8 @@ def _run_zeno(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_rabi(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .experiments import DrivenTwoLevel, analyze_rabi_line, run_rabi_monitor
+
     grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
     traj, spectrum = run_rabi_monitor(system, grid.duration, grid.dt, cfg.seed)
@@ -213,6 +215,8 @@ def _run_rabi(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_transition(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .experiments import DrivenTwoLevel, run_transition_monitor
+
     grid = cfg.grid
     system = DrivenTwoLevel(cfg.level_splitting, cfg.rabi, cfg.kappa)
     initial = system.ground_state() if cfg.initial == "ground" else system.excited_state()
@@ -237,6 +241,8 @@ def _run_transition(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 def _run_verify(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
+    from .verify import run_all_checks
+
     results = run_all_checks()
     rows = [(r.name, "pass" if r.passed else "fail", r.detail) for r in results]
     write("checks.csv", ["check", "status", "detail"], list(zip(*rows)))
@@ -251,7 +257,9 @@ def _run_verify(cfg: RunConfig, write, workers: int, quiet: bool) -> dict:
 
 
 # scenario -> runner(cfg, write, workers, quiet), which writes its CSV tables
-# by write(name, header, columns) and returns the summary headline
+# by write(name, header, columns) and returns the summary headline; each
+# runner imports the modules it calls, so a run loads only its scenario's
+# modules (verify only for scenario = verify)
 _RUNNERS = {
     "lindblad": _run_lindblad,
     "chm": _run_chm,
@@ -310,6 +318,10 @@ def _resolve_workers(flag: int | None) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigError(f"QMEAS_WORKERS must be an integer, got {env!r}") from exc
+    # the CPUs this process may run on, which taskset or a cgroup can limit
+    # below the host's count
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

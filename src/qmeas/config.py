@@ -28,14 +28,18 @@ list both read those declarations.
 from __future__ import annotations
 
 import math
-import textwrap
 from dataclasses import MISSING, dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .hilbert import HermitianOperator, QuantumState, basis_state, pauli_x, pauli_z, plus_state
-from .readout import TimeGrid
+
+# readout is imported where a grid is built, so that parsing a config loads
+# no qmeas module but errors, hilbert and this one
+if TYPE_CHECKING:
+    from .readout import TimeGrid
 
 SCENARIOS = (
     "lindblad",
@@ -51,6 +55,8 @@ SCENARIOS = (
 _ALL = frozenset(SCENARIOS)
 _MATRIX_SCENARIOS = frozenset({"lindblad", "chm", "sse-ensemble", "chain"})
 _DRIVEN_SCENARIOS = frozenset({"zeno", "rabi-monitor", "transition"})
+
+LINE_CORE_BINS = 3  # bins on each side of the Rabi line kept out of its background band
 
 
 def _convert(key: str, kind: type, text: str, line: int):
@@ -174,6 +180,8 @@ class RunConfig:
     @property
     def grid(self) -> TimeGrid:
         """The [grid] time grid of the scenarios that take one."""
+        from .readout import TimeGrid
+
         return TimeGrid(t0=self.t0, dt=self.dt, n_steps=self.n_steps)
 
 
@@ -193,6 +201,8 @@ def _show(value) -> str:
 def describe_keys() -> str:
     """A line per config key: section, name, default (per scenario where it
     differs) and, unless the key applies everywhere, its scenarios."""
+    import textwrap
+
     lines = []
     for (section, name), f in KEYS.items():
         scenarios, defaults = f.metadata["scenarios"], f.metadata["defaults"]
@@ -368,4 +378,11 @@ def parse_config(text: str) -> RunConfig:
     if cfg.initial not in ("ground", "excited"):
         no, _ = entries["transition"]["initial"]
         raise ConfigError("initial must be 'ground' or 'excited'", no)
+    if cfg.band_bins <= LINE_CORE_BINS:  # no background bin outside the line core
+        no, _ = entries["rabi"]["band_bins"]
+        raise ConfigError(
+            f"[rabi] band_bins = {cfg.band_bins} must exceed LINE_CORE_BINS = {LINE_CORE_BINS}, "
+            "the line-core bins left out of the background band",
+            no,
+        )
     return cfg

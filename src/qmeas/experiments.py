@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LINE_CORE_BINS
 from .errors import ValidationError
 from .hilbert import (
     DensityMatrix,
@@ -35,8 +36,6 @@ from .hilbert import (
 from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
 from .sse import SseTrajectory, ensemble_sums, mean_density, simulate_trajectory
-
-LINE_CORE_BINS = 3  # bins on each side of the Rabi line kept out of its background band
 
 
 @dataclass(frozen=True)

@@ -286,10 +286,6 @@ def pauli_x() -> HermitianOperator:
     return HermitianOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def pauli_y() -> HermitianOperator:
-    return HermitianOperator(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
-
-
 def pauli_z() -> HermitianOperator:
     return HermitianOperator(np.array([[1.0, 0.0], [0.0, -1.0]]))
 

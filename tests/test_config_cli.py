@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from qmeas import cli
 from qmeas.cli import dispatch, main
-from qmeas.config import KEYS, parse_config
+from qmeas.config import KEYS, LINE_CORE_BINS, parse_config
 from qmeas.errors import ConfigError, IntegrationError, ValidationError
 from qmeas.hilbert import DensityMatrix, trace_distance
 from qmeas.lindblad import MonitoringModel, integrate_lindblad
@@ -74,6 +73,10 @@ class TestParseConfig:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[run]\nscenario = zeno\nseed = 1\nseed = 2\n")
+
+    def test_smallest_band_past_the_line_core(self):
+        text = f"[run]\nscenario = rabi-monitor\n[rabi]\nband_bins = {LINE_CORE_BINS + 1}\n"
+        assert parse_config(text).band_bins == LINE_CORE_BINS + 1
 
 
 
@@ -166,6 +169,20 @@ INVALID_CONFIGS = [
     ),
     ("[run]\nscenario = rabi-monitor\n[model]\nrabi = -1\n", 4, "rabi must be positive"),
     ("[run]\nscenario = transition\n[model]\nrabi = -1\n", 4, "rabi must be non-negative"),
+    # the background band would hold no bin outside the line core; the
+    # trajectory need not run to know that
+    (
+        "[run]\nscenario = rabi-monitor\n[rabi]\nband_bins = 3\n",
+        4,
+        "[rabi] band_bins = 3 must exceed LINE_CORE_BINS = 3, "
+        "the line-core bins left out of the background band",
+    ),
+    (
+        "[run]\nscenario = rabi-monitor\n[rabi]\nband_bins = 1\nsearch_bins = 1\n",
+        4,
+        "[rabi] band_bins = 1 must exceed LINE_CORE_BINS = 3, "
+        "the line-core bins left out of the background band",
+    ),
 ]
 
 
@@ -734,11 +751,12 @@ class TestEnsembleAgainstMaster:
 
 # One fresh interpreter: the pytest process has loaded scipy and the process
 # pool already. Prints, per stage, [stage, exit code, whether scipy is loaded
-# after it, whether concurrent.futures.process is].
+# after it, whether concurrent.futures.process is, the loaded qmeas modules].
 _STARTUP_PROBE = """\
 import json, sys
 def loaded():
-    return ["scipy" in sys.modules, "concurrent.futures.process" in sys.modules]
+    qmeas_modules = sorted(m[6:] for m in sys.modules if m.startswith("qmeas."))
+    return ["scipy" in sys.modules, "concurrent.futures.process" in sys.modules, qmeas_modules]
 import qmeas
 stages = [["import qmeas", 0, *loaded()]]
 from qmeas import cli
@@ -768,30 +786,61 @@ _STARTUP_CONFIGS = {
     "zeno": SMALL_ZENO.replace("kappa_list = 0.5 2.0", "kappa_list = 2.0"),
 }
 
+# the qmeas modules loaded by import qmeas.cli, and those each scenario adds;
+# verify loads for scenario = verify alone
+_CLI_MODULES = {"cli", "config", "errors", "hilbert"}
+_DRIVEN_MODULES = {"experiments", "sse", "lindblad", "readout"}
+_SCENARIO_MODULES = {
+    "lindblad": {"lindblad", "readout"},
+    "chm": {"chm", "lindblad", "readout"},
+    "sse-ensemble": {"sse", "lindblad", "readout"},
+    "chain": {"chain", "sse", "lindblad", "readout"},
+    "rabi-monitor": _DRIVEN_MODULES,
+    "transition": _DRIVEN_MODULES,
+    "zeno": _DRIVEN_MODULES,
+}
+
+
+def _startup_stages(tmp_path, names):
+    """The probe's stages for the named startup configs, run in order in one
+    fresh interpreter."""
+    cases = []
+    for name in names:
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(_STARTUP_CONFIGS[name], encoding="utf-8")
+        cases.append([name, str(cfg)])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(cases)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestStartup:
     def test_scipy_loads_only_at_the_first_matrix_exponential(self, tmp_path):
-        cases = []
-        for name, text in _STARTUP_CONFIGS.items():
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(text, encoding="utf-8")
-            cases.append([name, str(cfg)])
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(cases)],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        stages = json.loads(proc.stdout.splitlines()[-1])
+        stages = _startup_stages(tmp_path, _STARTUP_CONFIGS)
         no_expm = ["import qmeas", "import qmeas.cli", *list(_STARTUP_CONFIGS)[:-1]]
         # no stage runs at more than one worker, so none starts a pool
-        assert stages == [[name, 0, False, False] for name in no_expm] + [["zeno", 0, True, False]]
+        assert [stage[:4] for stage in stages] == (
+            [[name, 0, False, False] for name in no_expm] + [["zeno", 0, True, False]]
+        )
+
+    @pytest.mark.parametrize("name", list(_STARTUP_CONFIGS))
+    def test_a_run_loads_only_its_scenario_modules(self, tmp_path, name):
+        stages = _startup_stages(tmp_path, [name])
+        assert [stage[4] for stage in stages] == [
+            [],  # import qmeas loads no numerical module
+            sorted(_CLI_MODULES),
+            sorted(_CLI_MODULES | _SCENARIO_MODULES[name]),
+        ]
 
 
 class TestWorkersResolution:
@@ -805,15 +854,26 @@ class TestWorkersResolution:
         with pytest.raises(ConfigError):
             _resolve_workers(None)
 
+    def test_default_is_the_cpus_this_process_may_use(self, monkeypatch):
+        from qmeas.cli import _resolve_workers
+
+        monkeypatch.delenv("QMEAS_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(None) == 1  # as under taskset -c 0 on a larger host
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _resolve_workers(None) == 8  # platforms without affinity
+
     def test_verify_scenario_wiring(self, tmp_path, monkeypatch):
         from qmeas import cli as cli_mod
+        from qmeas import verify
         from qmeas.verify import CheckResult
 
         calls = [
             CheckResult("alpha", True, "ok"),
             CheckResult("beta", False, "off by 1"),
         ]
-        monkeypatch.setattr(cli_mod, "run_all_checks", lambda: calls)
+        monkeypatch.setattr(verify, "run_all_checks", lambda: calls)
         cfg = tmp_path / "v.cfg"
         cfg.write_text("[run]\nscenario = verify\n", encoding="utf-8")
         out = tmp_path / "vout"
@@ -824,7 +884,7 @@ class TestWorkersResolution:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["headline"]["failed"] == ["beta"]
 
-        monkeypatch.setattr(cli_mod, "run_all_checks", lambda: calls[:1])
+        monkeypatch.setattr(verify, "run_all_checks", lambda: calls[:1])
         rc = cli_mod.main(["--config", str(cfg), "--out", str(tmp_path / "vout2"), "--quiet"])
         assert rc == 0
 
@@ -843,18 +903,17 @@ class TestRecordExportFormat:
 
     def test_empty_background_band_is_validation_error(self, tmp_path, capsys):
         # frozen regime: band_bins = 3 leaves no bin outside the line core,
-        # which read as a detected line with no power ratio
+        # which read as a detected line with no power ratio; the config alone
+        # says so, so the run stops before it makes its output directory
         text = (
             "[run]\nscenario = rabi-monitor\nseed = 1\n[model]\nkappa = 10\n"
             "[grid]\nn_steps = 20000\n[rabi]\nband_bins = 3\nsearch_bins = 1\n"
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # outside the soft regime
-            rc, out = run_cli(tmp_path, "emptyband", text)
+        rc, out = run_cli(tmp_path, "emptyband", text)
         assert rc == 1
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "[rabi] band_bins" in err[0]
+        assert len(err) == 1 and err[0].startswith("error: line 9: [rabi] band_bins = 3 ")
 
     def test_unresolvable_rabi_line_is_validation_error(self, tmp_path):
         # T = 2 gives 0.5-per-bin resolution, far above the Rabi line
