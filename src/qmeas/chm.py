@@ -35,15 +35,8 @@ from .errors import (
     ResolutionMismatchError,
     ValidationError,
 )
-from .hilbert import (
-    DensityMatrix,
-    NonHermitianOperator,
-    QuantumState,
-    _density_stack,
-    _lowest_eigenvalues,
-    matrix_exponential,
-)
-from .lindblad import MonitoringModel, _blocks, _first, _renormalized, _rk4
+from .hilbert import DensityMatrix, NonHermitianOperator, QuantumState, matrix_exponential
+from .lindblad import MonitoringModel, _history, _rk4
 from .readout import (
     FuzzySlice,
     ReadoutDensity,
@@ -252,6 +245,10 @@ def marginalize_readouts(
     the A eigenbasis) and the unitary factor is applied in symmetric
     half-steps around it, so the iterated map matches the master equation of
     :mod:`qmeas.lindblad` to second order in dt.
+
+    The map keeps the trace only to the kernel's completeness defect, checked
+    up front to be at most 1e-6, so the guarded history loop of
+    :mod:`qmeas.lindblad` steps it without its trace-drift guard.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
@@ -262,24 +259,11 @@ def marginalize_readouts(
         )
     q, kernel = slice_kernel.q, slice_kernel.dephasing_kernel(quad_order)
     u_half = matrix_exponential(NonHermitianOperator(-0.5j * model.H.entries), grid.dt).entries
-    qh = q.conj().T
-    d = model.dim
-    states = np.empty((grid.n_steps + 1, d, d), dtype=complex)
-    rho = rho0.entries
-    out = [rho0]
-    for block in _blocks(grid.n_steps, d):
-        for k in block:
-            rho = u_half @ rho @ u_half.conj().T
-            rho = q @ (kernel * (qh @ rho @ q)) @ qh
-            states[k] = rho = _renormalized(u_half @ rho @ u_half.conj().T)
-        # the positivity abort and the DensityMatrix checks, once per block
-        block_states = states[block.start : block.stop]
-        lo = _lowest_eigenvalues(block_states)
-        j = _first(lo < -1e-9)
-        out += _density_stack(block_states[:j], lo[:j])
-        if j < len(block):
-            raise IntegrationError(
-                f"marginalized state lost positivity at step {block.start + j} (eigenvalue {lo[j]:.3g}); "
-                "reduce dt or kappa, or raise quad_order"
-            )
-    return out
+    u_half_h, qh = u_half.conj().T, q.conj().T
+
+    def step(rho: np.ndarray) -> np.ndarray:
+        rho = q @ (kernel * (qh @ (u_half @ rho @ u_half_h) @ q)) @ qh
+        return u_half @ rho @ u_half_h
+
+    fix = "reduce dt or kappa, or raise quad_order"
+    return _history(rho0, grid.n_steps, step, fix, None, fix)

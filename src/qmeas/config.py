@@ -385,4 +385,8 @@ def parse_config(text: str) -> RunConfig:
             "the line-core bins left out of the background band",
             no,
         )
+    if cfg.collapse_threshold >= 1:  # the largest population always exceeds 1 - threshold <= 0
+        no, value = entries["chain"]["collapse_threshold"]
+        why = "or every chain reads as collapsed at its first shot"
+        raise ConfigError(f"[chain] collapse_threshold = {value} must be below 1, {why}", no)
     return cfg

@@ -8,9 +8,11 @@ constant kappa, the density matrix obeys
 (hbar = 1). The kappa/2 coefficient is the package-wide convention anchor:
 the selective descriptions in :mod:`qmeas.chm` and :mod:`qmeas.sse` are
 calibrated so that readout averaging reproduces exactly this equation.
-Integration is fixed-step classical RK4 for reproducibility. The states are
-kept in one stack, and the guards (finite, trace drift, positivity, the
-DensityMatrix checks) run once per block of steps on it, not step by step.
+Integration is fixed-step classical RK4 for reproducibility. One history
+loop, :func:`_history`, steps the RK4 here, the exact propagator and the
+readout-marginalized map of :mod:`qmeas.chm`: it keeps the states in one
+stack and runs the guards (finite, trace drift, positivity at the
+DensityMatrix bound, the DensityMatrix checks) once per block of steps on it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, IntegrationError, ValidationError
 from .hilbert import (
+    POSITIVITY_ATOL,
     DensityMatrix,
     HermitianOperator,
     NonHermitianOperator,
@@ -32,7 +35,6 @@ from .hilbert import (
 )
 from .readout import TimeGrid
 
-POSITIVITY_ABORT = -1e-6
 BLOCK_CELLS = 8192  # matrix entries of the states checked as one stack, as cli.CSV_SLICE bounds a slice
 EXACT_MAX_DIM = 16  # expm of the d^2 x d^2 superoperator costs ~d^6 (4096 x 4096 at d = 64)
 
@@ -96,51 +98,62 @@ def _blocks(n_steps: int, dim: int) -> list[range]:
     return [range(k, min(k + size, n_steps + 1)) for k in range(1, n_steps + 1, size)]
 
 
-def _first(bad: np.ndarray) -> int:
-    """The index of the first True of a mask, its length if none."""
-    hits = np.flatnonzero(bad)
-    return int(hits[0]) if hits.size else bad.size
-
-
 def _renormalized(rho: np.ndarray) -> np.ndarray:
     """rho re-symmetrized and trace-renormalized."""
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
 
-def _checked(
-    raw: np.ndarray,
-    states: np.ndarray,
-    where,
+def _history(
+    rho0: DensityMatrix,
+    n_steps: int,
+    step,
     fix_non_finite: str,
-    fix_drift: str,
-    fix_positivity: str | None = None,
+    fix_drift: str | None,
+    fix_positivity: str,
 ) -> list[DensityMatrix]:
-    """The DensityMatrix values of a block of steps: raw (n, d, d) the
-    propagated matrices, states (n, d, d) their renormalized states, which
-    become the values' entries. Step j passes, in this order: raw[j] finite;
-    its trace drift below 1e-9; with ``fix_positivity``, no eigenvalue of
-    states[j] below POSITIVITY_ABORT; the DensityMatrix checks of states[j].
-    The first step that fails raises its first failing check's error, named
-    ``where(j)``; every check runs once on the stack."""
-    finite = np.all(np.isfinite(raw), axis=(-2, -1))
-    dev = np.trace(_zero_non_finite(raw)[0], axis1=-2, axis2=-1) - 1.0
-    drift = np.hypot(dev.real, dev.imag)  # the bits of abs(complex), unlike np.abs
-    lo = _lowest_eigenvalues(states)
-    bad = ~finite | (drift > 1e-9)
-    if fix_positivity is not None:
-        bad |= lo < POSITIVITY_ABORT
-    k = _first(bad)
-    out = _density_stack(states[:k], lo[:k])
-    if k == bad.size:
-        return out
-    if not finite[k]:
-        raise IntegrationError(f"non-finite density matrix {where(k)}; {fix_non_finite}")
-    if drift[k] > 1e-9:
-        raise IntegrationError(f"trace drift {drift[k]:.3g} {where(k)} exceeds 1e-9; {fix_drift}")
-    raise IntegrationError(
-        f"positivity violated {where(k)} (eigenvalue {lo[k]:.3g} < {POSITIVITY_ABORT}); {fix_positivity}"
-    )
+    """rho0 and the n_steps states after it, each step(previous state)
+    re-symmetrized and trace-renormalized, in one (n_steps + 1, d, d) stack.
+    Once per block of steps, on the block's stack, step k passes in order:
+    step's result finite; with ``fix_drift``, its trace drift at most 1e-9;
+    no eigenvalue below -POSITIVITY_ATOL; the DensityMatrix checks. The
+    first failing step raises the IntegrationError of its first failing
+    check, naming the step and its fix, having stepped to its block's end."""
+    d = rho0.dim
+    blocks = _blocks(n_steps, d)
+    states = np.empty((n_steps + 1, d, d), dtype=complex)
+    raw = np.empty((len(blocks[0]), d, d), dtype=complex)
+    rho = rho0.entries
+    out = [rho0]
+    # a step past a failing one may overflow or divide by zero; the block's
+    # check raises for the failing step instead of numpy warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for block in blocks:
+            for j, k in enumerate(block):
+                raw[j] = rho = step(rho)
+                states[k] = rho = _renormalized(rho)
+            propagated, renormalized = raw[: len(block)], states[block.start : block.stop]
+            finite = np.all(np.isfinite(propagated), axis=(-2, -1))
+            lo = _lowest_eigenvalues(renormalized)
+            bad = ~finite | (lo < -POSITIVITY_ATOL)
+            if fix_drift is not None:
+                dev = np.trace(_zero_non_finite(propagated)[0], axis1=-2, axis2=-1) - 1.0
+                drift = np.hypot(dev.real, dev.imag)  # the bits of abs(complex), unlike np.abs
+                bad |= drift > 1e-9
+            j = int(np.argmax(bad)) if bad.any() else len(block)
+            out += _density_stack(renormalized[:j], lo[:j])
+            if j == len(block):
+                continue
+            k = block.start + j
+            if not finite[j]:
+                raise IntegrationError(f"non-finite density matrix at step {k}; {fix_non_finite}")
+            if fix_drift is not None and drift[j] > 1e-9:
+                raise IntegrationError(f"trace drift {drift[j]:.3g} at step {k} exceeds 1e-9; {fix_drift}")
+            raise IntegrationError(
+                f"positivity violated at step {k} (eigenvalue {lo[j]:.3g} < {-POSITIVITY_ATOL}); "
+                f"{fix_positivity}"
+            )
+    return out
 
 
 def integrate_lindblad(
@@ -150,44 +163,23 @@ def integrate_lindblad(
 ) -> list[DensityMatrix]:
     """Fixed-step RK4 integration of the master equation over the grid.
 
-    Returns the states at all n_steps + 1 grid nodes, held in one
-    (n_steps + 1, d, d) stack. Each is re-symmetrized and trace-renormalized;
-    the trace drift before renormalization is checked to stay below 1e-9 per
-    step. An eigenvalue of rho below -1e-6 aborts with a step-size diagnosis
-    instead of silently projecting back. The guards run once per block of
-    steps (at most BLOCK_CELLS matrix entries) on the block's stack: a failing
-    run raises the error of its first failing step, as a check after each
-    step would, having stepped at most to the end of that step's block.
+    Returns the states at all n_steps + 1 grid nodes from the guarded history
+    loop :func:`_history`: a step whose RK4 result is non-finite, drifts in
+    trace by more than 1e-9 or has an eigenvalue below -POSITIVITY_ATOL
+    (-1e-9, the DensityMatrix bound) raises an IntegrationError that names
+    the step and the dt to reduce, instead of silently projecting back.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
-    h = model.H.entries
-    a = model.A.entries
-    kappa = model.kappa
-    dt = grid.dt
-    blocks = _blocks(grid.n_steps, model.dim)
-    states = np.empty((grid.n_steps + 1, model.dim, model.dim), dtype=complex)
-    raw = np.empty((len(blocks[0]), model.dim, model.dim), dtype=complex)
-    rho = rho0.entries
-    out = [rho0]
-    unstable = f"dt={dt:.3g} is too large for kappa={kappa:.3g} (RK4 unstable)"
-    positivity = f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
-    # a step past a failing one may overflow or divide by zero; the block's
-    # check raises for the failing step instead of numpy warning
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for block in blocks:
-            for j, k in enumerate(block):
-                raw[j] = rho = _rk4(lambda r: _rhs_raw(h, a, kappa, r), rho, dt)
-                states[k] = rho = _renormalized(rho)
-            out += _checked(
-                raw[: len(block)],
-                states[block.start : block.stop],
-                lambda j: f"at step {block.start + j}",
-                unstable,
-                "reduce dt",
-                positivity,
-            )
-    return out
+    h, a, kappa, dt = model.H.entries, model.A.entries, model.kappa, grid.dt
+    return _history(
+        rho0,
+        grid.n_steps,
+        lambda r: _rk4(lambda y: _rhs_raw(h, a, kappa, y), r, dt),
+        f"dt={dt:.3g} is too large for kappa={kappa:.3g} (RK4 unstable)",
+        "reduce dt",
+        f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2",
+    )
 
 
 def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
@@ -200,8 +192,7 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
 
     Meant for one final state at small dimension (d <= EXACT_MAX_DIM); longer
     histories and larger systems go through :func:`integrate_lindblad`. The
-    result passes the same trace-drift (1e-9) and finiteness checks as an RK4
-    step, on a stack of one, and is validated as a DensityMatrix.
+    result is one step of :func:`_history`, guarded as an RK4 step is.
     """
     if model.dim != rho0.dim:
         raise DimensionMismatchError(f"model dim {model.dim} != rho0 dim {rho0.dim}")
@@ -215,13 +206,9 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
     cols = [_rhs_raw(model.H.entries, model.A.entries, model.kappa, e) for e in basis]
     sup = np.array(cols).reshape(d * d, d * d).T
     prop = matrix_exponential(NonHermitianOperator(sup), t).entries
-    raw = (prop @ rho0.entries.ravel()).reshape(1, d, d)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        states = _renormalized(raw[0])[None]
     fallback = "integrate with integrate_lindblad"
-    where = f"from exp(L t) at t={t:.3g}"
-    [rho] = _checked(raw, states, lambda j: where, fallback, f"split t or {fallback}")
-    return rho
+    split = f"split t or {fallback}"
+    return _history(rho0, 1, lambda r: (prop @ r.ravel()).reshape(d, d), fallback, split, split)[1]
 
 
 def kappa_from_brownian(eta: float, temperature: float) -> float:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeas import chm as chm_mod
 from qmeas import lindblad as lindblad_mod
 from qmeas.chm import (
     RESOLUTION_GUARD,
@@ -433,14 +432,14 @@ class TestMarginalizedStates:
         model = MonitoringModel(h, a, rng.uniform(0.1, 2.0))
         psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         built = []
-        stack = chm_mod._density_stack
+        stack = lindblad_mod._density_stack
 
         def recording(m, min_eigenvalues=None):
             built.extend(zip(m.copy(), min_eigenvalues))
             return stack(m, min_eigenvalues)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chm_mod, "_density_stack", recording)
+            mp.setattr(lindblad_mod, "_density_stack", recording)
             grid = TimeGrid(0.0, rng.uniform(1e-3, 0.05), n_steps)
             out = marginalize_readouts(model, DensityMatrix.from_state(psi0), grid)
         assert len(built) == len(out) - 1 == n_steps
@@ -459,7 +458,7 @@ class TestMarginalizedStates:
         model = MonitoringModel(H_ZERO, pauli_z(), 0.5)
         rho0 = DensityMatrix.from_state(plus_state(2))
         message = (
-            r"^marginalized state lost positivity at step 4 \(eigenvalue -1\.2e-09\); "
+            r"^positivity violated at step 4 \(eigenvalue -1\.2e-09 < -1e-09\); "
             r"reduce dt or kappa, or raise quad_order$"
         )
         with pytest.raises(IntegrationError, match=message):
@@ -596,7 +595,19 @@ class TestUnitarityAndMarginalization:
         monkeypatch.setattr(FuzzySlice, "dephasing_kernel", non_psd)
         model = MonitoringModel(H_ZERO, pauli_z(), 0.5)
         rho0 = DensityMatrix.from_state(plus_state(2))
-        with pytest.raises(IntegrationError, match="lost positivity at step 1.*raise quad_order$"):
+        message = (
+            r"^positivity violated at step 1 \(eigenvalue .* < -1e-09\); "
+            r"reduce dt or kappa, or raise quad_order$"
+        )
+        with pytest.raises(IntegrationError, match=message):
+            marginalize_readouts(model, rho0, TimeGrid(0.0, 0.01, 3), 40)
+
+    def test_non_finite_kernel_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(FuzzySlice, "dephasing_kernel", lambda self, order: np.full((2, 2), np.nan))
+        model = MonitoringModel(H_ZERO, pauli_z(), 0.5)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        message = r"^non-finite density matrix at step 1; reduce dt or kappa, or raise quad_order$"
+        with pytest.raises(IntegrationError, match=message):
             marginalize_readouts(model, rho0, TimeGrid(0.0, 0.01, 3), 40)
 
     def test_single_step_dephasing_kernel(self):

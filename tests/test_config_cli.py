@@ -183,6 +183,13 @@ INVALID_CONFIGS = [
         "[rabi] band_bins = 1 must exceed LINE_CORE_BINS = 3, "
         "the line-core bins left out of the background band",
     ),
+    # 1 - collapse_threshold <= 0: every chain collapses at its first shot
+    (
+        "[run]\nscenario = chain\n[chain]\ncollapse_threshold = 1\n",
+        4,
+        "[chain] collapse_threshold = 1 must be below 1, "
+        "or every chain reads as collapsed at its first shot",
+    ),
 ]
 
 
@@ -644,6 +651,16 @@ class TestDispatch:
         assert main(args) == 0
         assert (out / "summary.json").read_bytes() == first
 
+    def test_positivity_window_is_a_numerical_failure(self, tmp_path, capsys):
+        # an eigenvalue of -7.5e-7 after one step: below DensityMatrix's
+        # -1e-9, so the history names the step and the dt to reduce
+        text = _LIN + "a = 1 0 ; 0 -1\npsi0 = plus\nkappa = 139.264728\n[grid]\ndt = 0.01\nn_steps = 1\n"
+        rc, out = run_cli(tmp_path, "window", text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "positivity violated at step 1" in err and "< -1e-09" in err and "dt=0.01" in err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize(
         "error,code", [(IntegrationError("stub diverged"), 2), (ValidationError("stub rejected"), 1)]
     )
@@ -914,6 +931,19 @@ class TestRecordExportFormat:
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 9: [rabi] band_bins = 3 ")
+
+    def test_collapse_threshold_of_one_is_rejected_at_parse_time(self, tmp_path, capsys):
+        # the library guard (0, 1) stays in chain._check_chain; the config
+        # alone says so here, with its line, before the run makes its output
+        text = "[run]\nscenario = chain\nseed = 1\n[chain]\nn_shots = 5\ncollapse_threshold = 1\n"
+        rc, out = run_cli(tmp_path, "collapse", text)
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: line 6: [chain] collapse_threshold = 1 must be below 1, "
+            "or every chain reads as collapsed at its first shot"
+        ]
 
     def test_unresolvable_rabi_line_is_validation_error(self, tmp_path):
         # T = 2 gives 0.5-per-bin resolution, far above the Rabi line

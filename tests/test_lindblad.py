@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmeas import lindblad as lindblad_mod
@@ -193,6 +193,66 @@ def random_density(rng, dim, rank):
     return DensityMatrix(r / np.trace(r).real)
 
 
+# kappa*dt*(spread of A)^2 = 5.5706 puts the coherence's RK4 factor just past
+# the real-axis stability edge z = -2.785: the lowest eigenvalue after one
+# step is -7.5e-7, below the one bound -1e-9 by less than 1e-6
+WINDOW = (
+    LindbladModel(H_ZERO, pauli_z(), 139.264728),
+    DensityMatrix.from_state(plus_state(2)),
+    TimeGrid(0.0, 0.01, 1),
+)
+
+
+@st.composite
+def _histories(draw):
+    """(model, initial state, grid) with random H and A in d 2-8, A
+    degenerate in about half, and kappa*dt*(spread of A)^2 from 1 to 12, on
+    both sides of RK4's real-axis stability edge at 2 * 2.785."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a_evals = rng.choice([-1.0, 0.0, 1.0], dim)
+        a_evals[1] = a_evals[0]
+    else:
+        a_evals = rng.uniform(-1.0, 1.0, dim)
+    spread = float(np.ptp(a_evals)) or 1.0
+    dt = draw(st.floats(1e-3, 0.05))
+    kappa = draw(st.floats(1.0, 12.0)) / (dt * spread**2)
+    h = random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
+    model = LindbladModel(h, random_hermitian(rng, dim, a_evals), kappa)
+    rho0 = random_density(rng, dim, int(rng.integers(1, dim + 1)))
+    return model, rho0, TimeGrid(0.0, dt, draw(st.integers(1, 30)))
+
+
+class TestOneBound:
+    """The history holds the DensityMatrix bound itself: a state it cannot
+    hold is a numerical failure that names its step, never a ValidationError."""
+
+    def test_window_between_the_old_bounds_is_a_numerical_failure(self):
+        model, rho0, grid = WINDOW
+        message = (
+            r"^positivity violated at step 1 \(eigenvalue -7\.51e-07 < -1e-09\); "
+            r"dt=0\.01 is too large for the dissipation rate ~139\*\(spread of A\)\^2$"
+        )
+        with pytest.raises(IntegrationError, match=message):
+            integrate_lindblad(model, rho0, grid)
+
+    @given(case=_histories())
+    @example(case=WINDOW)
+    @settings(max_examples=60, deadline=None)
+    def test_a_history_holds_or_fails_numerically(self, case):
+        model, rho0, grid = case
+        try:
+            out = integrate_lindblad(model, rho0, grid)
+        except IntegrationError as exc:
+            assert " at step " in str(exc)
+            return
+        assert len(out) == grid.n_steps + 1
+        for rho in out:
+            assert isinstance(rho, DensityMatrix)
+            DensityMatrix(rho.entries)
+
+
 class TestExactPropagator:
     @given(
         dim=st.integers(2, 8),
@@ -239,6 +299,20 @@ class TestExactPropagator:
         monkeypatch.setattr(lindblad_mod, "matrix_exponential", drifting)
         rho0 = DensityMatrix.from_state(basis_state(2, 0))
         with pytest.raises(IntegrationError, match="split t or integrate"):
+            lindblad_exact(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, 1.0)
+
+    def test_positivity_aborts(self, monkeypatch):
+        # coherences of |+><+| tripled, the trace kept: eigenvalues 2 and -1
+        def non_positive(op, t):
+            return NonHermitianOperator(np.diag([1.0, 3.0, 3.0, 1.0]))
+
+        monkeypatch.setattr(lindblad_mod, "matrix_exponential", non_positive)
+        rho0 = DensityMatrix.from_state(plus_state(2))
+        message = (
+            r"^positivity violated at step 1 \(eigenvalue -1 < -1e-09\); "
+            r"split t or integrate with integrate_lindblad$"
+        )
+        with pytest.raises(IntegrationError, match=message):
             lindblad_exact(LindbladModel(pauli_x(), pauli_z(), 0.5), rho0, 1.0)
 
     def test_non_finite_aborts(self, monkeypatch):
@@ -358,8 +432,9 @@ class TestRhsBits:
 
 def _reference_integrate(model, rho0, grid):
     """integrate_lindblad as it was, checking each step alone before the next
-    one and building each DensityMatrix on its own; frozen here so that the
-    block-checked stack is held to its bits and its errors. It steps through
+    one and building each DensityMatrix on its own, with the one positivity
+    bound of DensityMatrix (-1e-9); frozen here so that the block-checked
+    stack is held to its bits and its errors. It steps through
     the module's _rk4 and _rhs_raw, so a test that patches them patches both."""
     h, a, kappa, dt = model.H.entries, model.A.entries, model.kappa, grid.dt
     rho = rho0.entries.copy()
@@ -375,9 +450,9 @@ def _reference_integrate(model, rho0, grid):
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
         lo = float(np.min(np.linalg.eigvalsh(rho)))
-        if lo < -1e-6:
+        if lo < -1e-9:
             raise IntegrationError(
-                f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < -1e-06); "
+                f"positivity violated at step {k + 1} (eigenvalue {lo:.3g} < -1e-09); "
                 f"dt={dt:.3g} is too large for the dissipation rate ~{kappa:.3g}*(spread of A)^2"
             )
         out.append(DensityMatrix(rho))
