@@ -55,8 +55,11 @@ SCENARIOS = (
 _ALL = frozenset(SCENARIOS)
 _MATRIX_SCENARIOS = frozenset({"lindblad", "chm", "sse-ensemble", "chain"})
 _DRIVEN_SCENARIOS = frozenset({"zeno", "rabi-monitor", "transition"})
+# the scenarios that step the SSE on the [grid] dt (zeno picks its own dt)
+_SSE_SCENARIOS = frozenset({"sse-ensemble", "rabi-monitor", "transition"})
 
 LINE_CORE_BINS = 3  # bins on each side of the Rabi line kept out of its background band
+STEP_GUARD = 0.1  # the largest kappa * (2||A||)^2 * dt that an SSE step takes
 
 
 def _convert(key: str, kind: type, text: str, line: int):
@@ -335,6 +338,32 @@ def _resolve_model(cfg: RunConfig, model: dict[str, tuple[int, str]]) -> None:
         cfg.psi0 = basis_state(dim, 0)
 
 
+def step_scale(kappa: float, a_norm: float, dt: float) -> float:
+    """kappa * (2||A||)^2 * dt, the size of an SSE step that STEP_GUARD bounds."""
+    return kappa * (2.0 * a_norm) ** 2 * dt
+
+
+def _check_step_guard(cfg: RunConfig, entries: dict[str, dict[str, tuple[int, str]]]) -> None:
+    """Reject an SSE scenario whose step_scale exceeds STEP_GUARD, the check
+    sse._guard makes before the first step, with ||A|| = level_splitting/2
+    for the driven scenarios. The error gives the line of the first of dt,
+    kappa and the A key that the config sets."""
+    driven = cfg.scenario in _DRIVEN_SCENARIOS
+    norm = 0.5 * cfg.level_splitting if driven else cfg.a.spectral_norm()
+    scale = step_scale(cfg.kappa, norm, cfg.dt)
+    if scale <= STEP_GUARD:
+        return
+    a_keys = ("level_splitting",) if driven else ("a", "preset")
+    keys = [("grid", "dt"), ("model", "kappa"), *(("model", k) for k in a_keys)]
+    line = next((entries[s][k][0] for s, k in keys if k in entries.get(s, {})), None)
+    raise ConfigError(
+        f"[model] kappa = {cfg.kappa} and [grid] dt = {cfg.dt} give kappa * (2||A||)^2 * dt = "
+        f"{scale:.3g} with ||A|| = {norm:.6g}, above the SSE step's STEP_GUARD = {STEP_GUARD}; "
+        "reduce dt or kappa",
+        line,
+    )
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError naming the first bad
     line. Missing optional keys get their declared defaults."""
@@ -385,6 +414,8 @@ def parse_config(text: str) -> RunConfig:
             "the line-core bins left out of the background band",
             no,
         )
+    if scen in _SSE_SCENARIOS:
+        _check_step_guard(cfg, entries)
     if cfg.collapse_threshold >= 1:  # the largest population always exceeds 1 - threshold <= 0
         no, value = entries["chain"]["collapse_threshold"]
         why = "or every chain reads as collapsed at its first shot"

@@ -161,8 +161,8 @@ def run_zeno_scan(
 
     distances = np.full(kappas.size, np.nan)
     if n_traj > 0:
-        # the exact propagators (and scipy's import) run while the pool steps
-        # only the final node is read, so only its projector sums are kept
+        # the exact propagators run while the pool steps; only the final
+        # node is read, so only its projector sums are kept
         sums, exact = ensemble_sums(ensembles, workers, local=exact_states, final=True)
         for i, [rho_sum] in enumerate(sums):
             distances[i] = trace_distance(mean_density(rho_sum, n_traj), exact[i])

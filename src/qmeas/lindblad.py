@@ -182,13 +182,20 @@ def integrate_lindblad(
     )
 
 
-def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """State at time t from the exact propagator exp(L t) of the master equation.
-
-    L acts on row-major vec(rho). Its column j is vec of the master-equation
-    right-hand side (the one :func:`lindblad_rhs` evaluates) at the basis
+def _superoperator(model: MonitoringModel) -> np.ndarray:
+    """L of the master equation on row-major vec(rho). Its column j is vec of
+    the right-hand side (the one :func:`lindblad_rhs` evaluates) at the basis
     matrix whose row-major vec is the j-th unit vector, so L holds no formula
-    of its own.
+    of its own."""
+    d = model.dim
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    cols = [_rhs_raw(model.H.entries, model.A.entries, model.kappa, e) for e in basis]
+    return np.array(cols).reshape(d * d, d * d).T
+
+
+def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
+    """State at time t from the exact propagator exp(L t) of the master
+    equation, L the :func:`_superoperator`.
 
     Meant for one final state at small dimension (d <= EXACT_MAX_DIM); longer
     histories and larger systems go through :func:`integrate_lindblad`. The
@@ -202,10 +209,7 @@ def lindblad_exact(model: MonitoringModel, rho0: DensityMatrix, t: float) -> Den
             f"use integrate_lindblad above dim {EXACT_MAX_DIM}"
         )
     d = model.dim
-    basis = np.eye(d * d).reshape(d * d, d, d)
-    cols = [_rhs_raw(model.H.entries, model.A.entries, model.kappa, e) for e in basis]
-    sup = np.array(cols).reshape(d * d, d * d).T
-    prop = matrix_exponential(NonHermitianOperator(sup), t).entries
+    prop = matrix_exponential(NonHermitianOperator(_superoperator(model)), t).entries
     fallback = "integrate with integrate_lindblad"
     split = f"split t or {fallback}"
     return _history(rho0, 1, lambda r: (prop @ r.ravel()).reshape(d, d), fallback, split, split)[1]

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import STEP_GUARD, step_scale
 from .errors import DimensionMismatchError, IntegrationError, ValidationError
 from .hilbert import DensityMatrix, QuantumState, _densities, _density_stack, _trace_distances
 from .lindblad import MonitoringModel, integrate_lindblad
@@ -60,7 +61,6 @@ from .readout import ReadoutRecord, TimeGrid
 
 CHUNK = 64  # trajectories per reduction chunk; fixed so results do not depend on worker count
 BLOCK = 256  # steps of Wiener increments drawn at once; equal to one long draw, less memory
-STEP_GUARD = 0.1
 # numpy adds fewer scalars than this in one plain loop; longer sums go pairwise
 PAIRWISE_BLOCK = 8
 
@@ -101,7 +101,7 @@ class EnsembleSummary:
 
 
 def _guard(model: MonitoringModel, dt: float):
-    scale = model.kappa * (2.0 * model.A.spectral_norm()) ** 2 * dt
+    scale = step_scale(model.kappa, model.A.spectral_norm(), dt)
     if scale > STEP_GUARD:
         raise ValidationError(
             f"kappa * (2||A||)^2 * dt = {scale:.3g} exceeds {STEP_GUARD}; "

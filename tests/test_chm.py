@@ -35,6 +35,7 @@ from qmeas.hilbert import (
     plus_state,
     trace_distance,
 )
+from qmeas.hilbert import _expm
 from qmeas.lindblad import LindbladModel, integrate_lindblad
 from qmeas.readout import (
     FuzzySlice,
@@ -262,12 +263,11 @@ class TestMergedRecordLoop:
 
 
 def _reference_sliced(model, record):
-    """sliced_propagator as it was with scipy's expm called directly; frozen
-    here so the route through matrix_exponential is held to its bits."""
-    from scipy.linalg import expm
-
+    """sliced_propagator with the exponential kernel called directly on the
+    raw matrix; frozen here so the route through matrix_exponential is held
+    to its bits."""
     dt = record.grid.dt
-    u = expm(-1j * model.H.entries * dt)
+    u = _expm(-1j * model.H.entries * dt)
     evals, q = model.A.eigh()
     prod = np.eye(model.dim, dtype=complex)
     cache = {}
@@ -283,22 +283,18 @@ def _reference_sliced(model, record):
 
 
 def _reference_single_step(model, a, dt, psi0):
-    from scipy.linalg import expm
-
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=1)
     evals, q = model.A.eigh()
     r = (q * np.exp(-model.kappa * (evals - a) ** 2 * dt)) @ q.conj().T
-    v = expm(-1j * model.H.entries * dt) @ (r @ psi0.amplitudes)
+    v = _expm(-1j * model.H.entries * dt) @ (r @ psi0.amplitudes)
     n = float(np.linalg.norm(v))
     return 2.0 * np.log(n) + reference_log_weight(constant_record(grid, a), model.kappa)
 
 
 def _reference_marginalized(model, rho0, grid, quad_order):
-    from scipy.linalg import expm
-
     slice_kernel = FuzzySlice(model.A, model.kappa, grid.dt)
     q, kernel = slice_kernel.q, slice_kernel.dephasing_kernel(quad_order)
-    u_half = expm(-0.5j * model.H.entries * grid.dt)
+    u_half = _expm(-0.5j * model.H.entries * grid.dt)
     qh = q.conj().T
     rho = rho0.entries.copy()
     out = [rho]
@@ -320,7 +316,7 @@ class TestExpmRouting:
         n_steps=st.integers(1, 20),
     )
     @settings(max_examples=40, deadline=None)
-    def test_bits_match_direct_scipy_expm(self, dim, seed, degenerate, n_steps):
+    def test_bits_match_direct_kernel_calls(self, dim, seed, degenerate, n_steps):
         rng = np.random.default_rng(seed)
         h = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         if degenerate:
@@ -354,15 +350,14 @@ class TestExpmRouting:
 
 
 def _reference_exact(model, record):
-    """ode_propagator as the product of scipy's expm of -i*H_eff*dt, one expm
-    per slice; frozen here so the shared slice-product loop is held to it."""
-    from scipy.linalg import expm
-
+    """ode_propagator as the product of the exponential kernel of -i*H_eff*dt,
+    one call per slice; frozen here so the shared slice-product loop is held
+    to it."""
     prod = np.eye(model.dim, dtype=complex)
     for a in record.values:
         shifted = model.A.entries - float(a) * np.eye(model.dim)
         heff = model.H.entries - 1j * model.kappa * (shifted @ shifted)
-        prod = expm(-1j * heff * record.grid.dt) @ prod
+        prod = _expm(-1j * heff * record.grid.dt) @ prod
     return prod
 
 

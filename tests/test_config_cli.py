@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from qmeas import cli
 from qmeas.cli import dispatch, main
-from qmeas.config import KEYS, LINE_CORE_BINS, parse_config
+from qmeas.config import KEYS, LINE_CORE_BINS, STEP_GUARD, parse_config
 from qmeas.errors import ConfigError, IntegrationError, ValidationError
-from qmeas.hilbert import DensityMatrix, trace_distance
+from qmeas.experiments import DrivenTwoLevel
+from qmeas.hilbert import DensityMatrix, HermitianOperator, pauli_x, trace_distance
 from qmeas.lindblad import MonitoringModel, integrate_lindblad
 from qmeas.readout import parse_record
-from qmeas.sse import ensemble_accumulate
+from qmeas.sse import _guard, ensemble_accumulate
 
 
 class TestParseConfig:
@@ -190,6 +191,33 @@ INVALID_CONFIGS = [
         "[chain] collapse_threshold = 1 must be below 1, "
         "or every chain reads as collapsed at its first shot",
     ),
+    # kappa * (2||A||)^2 * dt above the SSE step guard, in each scenario that
+    # steps the SSE on its [grid] dt; the line is that of dt when the config
+    # sets it, else that of kappa, else that of the key that sets A
+    (
+        "[run]\nscenario = sse-ensemble\n[model]\nkappa = 40\n",
+        4,
+        "[model] kappa = 40.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt = 0.16 "
+        "with ||A|| = 1, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa",
+    ),
+    (
+        "[run]\nscenario = sse-ensemble\n[model]\npreset = three-level\n[grid]\ndt = 0.01\n",
+        6,
+        "[model] kappa = 0.5 and [grid] dt = 0.01 give kappa * (2||A||)^2 * dt = 0.18 "
+        "with ||A|| = 3, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa",
+    ),
+    (
+        "[run]\nscenario = rabi-monitor\n[model]\nkappa = 30\n",
+        4,
+        "[model] kappa = 30.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt = 0.12 "
+        "with ||A|| = 1, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa",
+    ),
+    (
+        "[run]\nscenario = transition\n[model]\nlevel_splitting = 6\n",
+        4,
+        "[model] kappa = 4.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt = 0.144 "
+        "with ||A|| = 3, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa",
+    ),
 ]
 
 
@@ -199,6 +227,43 @@ def test_invalid_config_message(text, line, message):
         parse_config(text)
     assert exc.value.line == line
     assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+def _library_step_guard_passes(scenario, kappa, dt, norm):
+    """Whether sse._guard, which every SSE run calls before its first step,
+    passes the model that the scenario runs."""
+    if scenario == "sse-ensemble":
+        a = HermitianOperator(np.diag([norm, -0.5 * norm]))
+        model = MonitoringModel(pauli_x(), a, kappa)
+    else:
+        model = DrivenTwoLevel(2.0 * norm, 1.0, kappa).monitoring_model()
+    try:
+        _guard(model, dt)
+    except ValidationError:
+        return False
+    return True
+
+
+# kappa is drawn at the guard's edge, up to two ulps either side of it
+@pytest.mark.parametrize("scenario", ["sse-ensemble", "rabi-monitor", "transition"])
+@given(dt=st.floats(1e-5, 1e-2), norm=st.floats(0.1, 10.0), ulps=st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_parse_time_step_guard_is_the_library_guard(scenario, dt, norm, ulps):
+    kappa = STEP_GUARD / ((2.0 * norm) ** 2 * dt)
+    for _ in range(abs(ulps)):
+        kappa = float(np.nextafter(kappa, np.inf if ulps > 0 else 0.0))
+    if scenario == "sse-ensemble":
+        model = f"a = {norm!r} 0 ; 0 {-0.5 * norm!r}\nkappa = {kappa!r}\n"
+    else:
+        model = f"level_splitting = {2.0 * norm!r}\nkappa = {kappa!r}\n"
+    text = f"[run]\nscenario = {scenario}\n[model]\n{model}[grid]\ndt = {dt!r}\n"
+    try:
+        parse_config(text)
+        parsed = True
+    except ConfigError as exc:
+        assert "STEP_GUARD" in str(exc)
+        parsed = False
+    assert parsed == _library_step_guard_passes(scenario, kappa, dt, norm)
 
 
 # every key that converts to float, with a scenario it applies to
@@ -784,7 +849,8 @@ for name, cfg in json.loads(sys.argv[1]):
 print(json.dumps(stages))
 """
 
-# every scenario but zeno and verify, then zeno, whose exp(L t) is the first expm
+# every scenario but verify; zeno's exact propagator exp(L t) runs the
+# package's own matrix exponential, so it loads no scipy either
 _STARTUP_CONFIGS = {
     "lindblad": "[run]\nscenario = lindblad\n[grid]\ndt = 0.01\nn_steps = 20\n",
     "chm": "[run]\nscenario = chm\n",
@@ -842,13 +908,11 @@ def _startup_stages(tmp_path, names):
 
 
 class TestStartup:
-    def test_scipy_loads_only_at_the_first_matrix_exponential(self, tmp_path):
+    def test_no_stage_loads_scipy(self, tmp_path):
         stages = _startup_stages(tmp_path, _STARTUP_CONFIGS)
-        no_expm = ["import qmeas", "import qmeas.cli", *list(_STARTUP_CONFIGS)[:-1]]
+        names = ["import qmeas", "import qmeas.cli", *_STARTUP_CONFIGS]
         # no stage runs at more than one worker, so none starts a pool
-        assert [stage[:4] for stage in stages] == (
-            [[name, 0, False, False] for name in no_expm] + [["zeno", 0, True, False]]
-        )
+        assert [stage[:4] for stage in stages] == [[name, 0, False, False] for name in names]
 
     @pytest.mark.parametrize("name", list(_STARTUP_CONFIGS))
     def test_a_run_loads_only_its_scenario_modules(self, tmp_path, name):
@@ -943,6 +1007,18 @@ class TestRecordExportFormat:
         assert err == [
             "error: line 6: [chain] collapse_threshold = 1 must be below 1, "
             "or every chain reads as collapsed at its first shot"
+        ]
+
+    def test_step_guard_is_rejected_at_parse_time(self, tmp_path, capsys):
+        # the library guard stays in sse._guard; the config alone says so
+        # here, with its line, before the run makes its output
+        rc, out = run_cli(tmp_path, "guard", "[run]\nscenario = sse-ensemble\n[model]\nkappa = 40\n")
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: line 4: [model] kappa = 40.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt "
+            "= 0.16 with ||A|| = 1, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa"
         ]
 
     def test_unresolvable_rabi_line_is_validation_error(self, tmp_path):

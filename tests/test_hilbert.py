@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm  # the oracle of matrix_exponential; qmeas never imports scipy
 
+from qmeas.chm import effective_hamiltonian
 from qmeas.errors import DimensionMismatchError, ValidationError
 from qmeas.hilbert import (
     DensityMatrix,
@@ -19,6 +23,7 @@ from qmeas.hilbert import (
     trace_distance,
 )
 from qmeas.hilbert import _density_stack
+from qmeas.lindblad import MonitoringModel, _superoperator
 
 
 def rand_hermitian(dim, rng):
@@ -138,10 +143,105 @@ class TestExpectation:
         )
 
 
+def _abscissa_zero(m):
+    """m minus its largest eigenvalue real part times I: scaled to a 1-norm up
+    to 1e3, its exponential neither overflows nor underflows."""
+    return m - np.max(np.linalg.eigvals(m).real) * np.eye(len(m))
+
+
+def _non_normal(rng):
+    d = int(rng.integers(2, 65))
+    return _abscissa_zero(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+
+
+def _diagonal(rng):
+    d = int(rng.integers(2, 65))
+    return _abscissa_zero(np.diag(rng.standard_normal(d) + 1j * rng.standard_normal(d)))
+
+
+def _random_model(rng, d):
+    return MonitoringModel(rand_hermitian(d, rng), rand_hermitian(d, rng), rng.uniform(0.1, 2.0))
+
+
+def _lindblad_superoperator(rng):
+    """lindblad_exact's L of random H and A at d = 2-4 (its abscissa is 0)."""
+    return _superoperator(_random_model(rng, int(rng.integers(2, 5))))
+
+
+def _record_slice_generator(rng):
+    """-i H_eff(a), whose exponential at dt is one slice of ode_propagator,
+    for random H and A at d = 2-8, with its abscissa moved to 0."""
+    model = _random_model(rng, int(rng.integers(2, 9)))
+    return _abscissa_zero(-1j * effective_hamiltonian(model, rng.uniform(-2.0, 2.0)).entries)
+
+
+_GENERATORS = {
+    "non-normal": _non_normal,
+    "diagonal": _diagonal,
+    "lindblad": _lindblad_superoperator,
+    "record-slice": _record_slice_generator,
+}
+
+
+def _scaled(m, log_norm):
+    """m scaled to the 1-norm 10**log_norm."""
+    return m * (10.0**log_norm / np.max(np.sum(np.abs(m), axis=0)))
+
+
+def _relative_error(m, ref):
+    """The largest entry of |matrix_exponential(m) - ref| over the largest
+    entry of |ref|."""
+    out = matrix_exponential(NonHermitianOperator(m)).entries
+    return np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+
+
+# Over 80,000 draws as below (20,000 of each generator, log10 ||M||_1
+# uniform in [-8, 3]) the relative error against scipy's expm was at most
+# 2.8e-13 (record slices; 2.5e-13 non-normal, 1.3e-13 diagonal, 8.0e-14
+# lindblad), and over 40,000 Jordan blocks against their closed form at most
+# 3.2e-13, each at ||M||_1 near 1e3, where the s = 8 squarings of the
+# scaled approximant multiply its rounding by up to 2^s = 256. The bound is
+# three times the largest.
+EXPM_REL_TOL = 1e-12
+
+
+class TestPadeKernel:
+    @given(
+        kind=st.sampled_from(sorted(_GENERATORS)),
+        seed=st.integers(0, 2**32 - 1),
+        log_norm=st.floats(-8.0, 3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_expm(self, kind, seed, log_norm):
+        m = _scaled(_GENERATORS[kind](np.random.default_rng(seed)), log_norm)
+        assert _relative_error(m, expm(m)) <= EXPM_REL_TOL
+
+    # A defective block is held to its closed form: scipy's expm takes an
+    # upper-triangular input through its own path, which missed that form
+    # by up to 2.4e-6 (relative to the largest entry) at ||M||_1 near 1e3.
+    @given(
+        size=st.integers(2, 16),
+        re=st.floats(-1.0, 0.0),  # exp(alpha lam) >= exp(-500) at ||M||_1 = 1e3
+        im=st.floats(-3.0, 3.0),
+        log_norm=st.floats(-8.0, 3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_jordan_block_closed_form(self, size, re, im, log_norm):
+        lam = complex(re, im)
+        alpha = 10.0**log_norm / (abs(lam) + 1.0)  # the 1-norm of lam*I + N is |lam| + 1
+        m = alpha * (lam * np.eye(size) + np.eye(size, k=1))
+        # exp(alpha (lam I + N)) = exp(alpha lam) sum_k alpha^k N^k / k!
+        exact = sum(
+            np.eye(size, k=k) * (np.exp(m[0, 0]) * alpha**k / math.factorial(k))
+            for k in range(size)
+        )
+        assert _relative_error(m, exact) <= EXPM_REL_TOL
+
+
 class TestMatrixExponential:
     def test_zero_matrix(self):
         out = matrix_exponential(NonHermitianOperator(np.zeros((3, 3))), 2.0)
-        assert np.allclose(out.entries, np.eye(3), atol=1e-14)
+        assert np.array_equal(out.entries, np.eye(3))
 
     def test_diagonal(self):
         out = matrix_exponential(NonHermitianOperator(np.diag([-1.0, -2.0])), 1.0)
