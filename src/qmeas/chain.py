@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SPECTRAL_GAP
 from .errors import DimensionMismatchError, ValidationError
 from .hilbert import HermitianOperator, NonHermitianOperator, QuantumState
 from .readout import FuzzySlice
@@ -83,16 +84,6 @@ class AncillaScheme:
             raise ValidationError(f"coupling must be finite and >= 0, got {self.coupling!r}")
 
 
-def _eigensystem(k: FuzzyKraus) -> tuple[np.ndarray, np.ndarray]:
-    if np.any(np.diff(k.kernel.evals) < 1e-9):
-        raise ValidationError(
-            "fuzzy chains require a nondegenerate spectrum: give A distinct eigenvalues, "
-            "gaps of at least 1e-9 (the lindblad, chm and sse-ensemble scenarios accept a "
-            "degenerate A)"
-        )
-    return k.kernel.evals, k.kernel.q
-
-
 def _check_chain(k: FuzzyKraus, psi0: QuantumState, n_steps: int, collapse_threshold: float):
     """The checks of a chain's inputs, made before any draw or fork."""
     if k.dim != psi0.dim:
@@ -101,7 +92,12 @@ def _check_chain(k: FuzzyKraus, psi0: QuantumState, n_steps: int, collapse_thres
         raise ValidationError("n_steps must be >= 1")
     if not 0 < collapse_threshold < 1:
         raise ValidationError("collapse_threshold must be in (0, 1)")
-    _eigensystem(k)
+    if np.any(np.diff(k.kernel.evals) < SPECTRAL_GAP):
+        raise ValidationError(
+            "fuzzy chains require a nondegenerate spectrum: give A distinct eigenvalues, "
+            "gaps of at least 1e-9 (the lindblad, chm and sse-ensemble scenarios accept a "
+            "degenerate A)"
+        )
 
 
 def sample_fuzzy_shot(
@@ -265,7 +261,7 @@ def run_chain_ensemble(
 
     Each of ``workers`` processes steps a contiguous, balanced share of fixed
     chunks of CHUNK chains, at least two chunks a share, as
-    sse.ensemble_accumulate does; 128-255 chains thus run as one share,
+    sse.ensemble_sums does; 128-255 chains thus run as one share,
     whose shot costs 1.2-1.4 times a 64-chain one (see sse._share_cuts).
     The mean populations are summed per chunk
     in seed order and the chunk sums are added in chunk order, so they are

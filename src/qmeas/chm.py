@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RESOLUTION_GUARD, resolution_budget
 from .errors import (
     DimensionMismatchError,
     IntegrationError,
@@ -46,7 +47,6 @@ from .readout import (
     reference_log_weight,
 )
 
-RESOLUTION_GUARD = 0.5
 SUBSTEP_TARGET = 0.05
 DEFAULT_QUAD_ORDER = 40
 
@@ -91,7 +91,7 @@ def propagate_chm_series(
     norm_a = model.A.spectral_norm()
     norm_h = model.H.spectral_norm()
     dt = record.grid.dt
-    budget = model.kappa * (norm_a + float(np.max(np.abs(record.values)))) ** 2 * dt
+    budget = resolution_budget(model.kappa, norm_a, float(np.max(np.abs(record.values))), dt)
     if budget > RESOLUTION_GUARD:
         raise ResolutionMismatchError(
             f"kappa*(||A|| + |a|)^2*dt = {budget:.3g} exceeds {RESOLUTION_GUARD}; the record "

@@ -60,6 +60,8 @@ _SSE_SCENARIOS = frozenset({"sse-ensemble", "rabi-monitor", "transition"})
 
 LINE_CORE_BINS = 3  # bins on each side of the Rabi line kept out of its background band
 STEP_GUARD = 0.1  # the largest kappa * (2||A||)^2 * dt that an SSE step takes
+RESOLUTION_GUARD = 0.5  # the largest kappa * (||A|| + |a|)^2 * dt that a record slice takes
+SPECTRAL_GAP = 1e-9  # the smallest gap between A's eigenvalues that a fuzzy chain takes
 
 
 def _convert(key: str, kind: type, text: str, line: int):
@@ -330,6 +332,13 @@ def _resolve_model(cfg: RunConfig, model: dict[str, tuple[int, str]]) -> None:
         raise ConfigError(
             f"declared dim {cfg.dim} does not match matrices of dim {dim}", model["dim"][0]
         )
+    if cfg.scenario == "chain" and np.any(np.diff(cfg.a.eigh()[0]) < SPECTRAL_GAP):
+        raise ConfigError(
+            "[model] a: fuzzy chains require a nondegenerate spectrum: give A distinct "
+            "eigenvalues, gaps of at least 1e-9 (the lindblad, chm and sse-ensemble scenarios "
+            "accept a degenerate A)",
+            a_text[0],  # both presets are nondegenerate
+        )
     if "psi0" in model:
         cfg.psi0 = _state_from_text(model["psi0"][1], model["psi0"][0], dim)
     elif cfg.scenario == "chain":
@@ -341,6 +350,33 @@ def _resolve_model(cfg: RunConfig, model: dict[str, tuple[int, str]]) -> None:
 def step_scale(kappa: float, a_norm: float, dt: float) -> float:
     """kappa * (2||A||)^2 * dt, the size of an SSE step that STEP_GUARD bounds."""
     return kappa * (2.0 * a_norm) ** 2 * dt
+
+
+def resolution_budget(kappa: float, a_norm: float, a_max: float, dt: float) -> float:
+    """kappa * (||A|| + |a|)^2 * dt, the size of a record slice that
+    RESOLUTION_GUARD bounds, |a| the largest readout."""
+    return kappa * (a_norm + a_max) ** 2 * dt
+
+
+def _check_resolution_guard(cfg: RunConfig, entries: dict[str, dict[str, tuple[int, str]]]) -> None:
+    """Reject a chm scenario with a constant record whose resolution_budget
+    exceeds RESOLUTION_GUARD, the check chm.propagate_chm_series makes
+    before the first slice. The error gives the line of the first of kappa,
+    record_value, dt and the A key that the config sets."""
+    norm = cfg.a.spectral_norm()
+    budget = resolution_budget(cfg.kappa, norm, abs(cfg.record_value), cfg.dt)
+    if budget <= RESOLUTION_GUARD:
+        return
+    keys = [("model", "kappa"), ("chm", "record_value"), ("grid", "dt")]
+    keys += [("model", "a"), ("model", "preset")]
+    line = next((entries[s][k][0] for s, k in keys if k in entries.get(s, {})), None)
+    raise ConfigError(
+        f"[model] kappa = {cfg.kappa}, [chm] record_value = {cfg.record_value} and [grid] dt = "
+        f"{cfg.dt} give kappa * (||A|| + |a|)^2 * dt = {budget:.3g} with ||A|| = {norm:.6g}, "
+        f"above the record slice's RESOLUTION_GUARD = {RESOLUTION_GUARD}; reduce dt, kappa or "
+        "the record value",
+        line,
+    )
 
 
 def _check_step_guard(cfg: RunConfig, entries: dict[str, dict[str, tuple[int, str]]]) -> None:
@@ -416,6 +452,8 @@ def parse_config(text: str) -> RunConfig:
         )
     if scen in _SSE_SCENARIOS:
         _check_step_guard(cfg, entries)
+    if scen == "chm" and cfg.record_file is None:  # a record file is read at run time
+        _check_resolution_guard(cfg, entries)
     if cfg.collapse_threshold >= 1:  # the largest population always exceeds 1 - threshold <= 0
         no, value = entries["chain"]["collapse_threshold"]
         why = "or every chain reads as collapsed at its first shot"

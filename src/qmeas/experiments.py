@@ -28,14 +28,14 @@ from .errors import ValidationError
 from .hilbert import (
     DensityMatrix,
     HermitianOperator,
+    _trace_distances,
     basis_state,
     pauli_x,
     pauli_z,
-    trace_distance,
 )
 from .lindblad import MonitoringModel, lindblad_exact
 from .readout import TimeGrid
-from .sse import SseTrajectory, ensemble_sums, mean_density, simulate_trajectory
+from .sse import SseTrajectory, ensemble_sums, mean_states, simulate_trajectory
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ class DrivenTwoLevel:
 class ZenoScanResult:
     """Transfer probability at the flip time versus measurement strength.
 
-    sse_trace_distances holds the max trace distance between the stochastic
-    ensemble mean and the master-equation solution per scan point (NaN when
-    the stochastic cross-check was disabled).
+    sse_trace_distances holds the trace distance at the flip time between
+    the stochastic ensemble mean and the master-equation solution per scan
+    point (NaN when the stochastic cross-check was disabled).
     """
 
     kappa_values: np.ndarray
@@ -138,7 +138,10 @@ def run_zeno_scan(
     kappa's share of the workers in proportion to its step count, in shares
     of at least two chunks of trajectories, the longest grid first; the
     result does not depend on the worker count. The exact propagators run
-    in this process while the pool steps the trajectories.
+    in this process while the pool steps the trajectories. The final-node
+    means of all kappa are checked as one stack (sse.mean_states) and
+    compared to the exact states by one trace-distance call, with the bits
+    of trace_distance kappa by kappa.
     """
     kappas = np.asarray(list(kappa_list), dtype=float)
     if kappas.size == 0 or np.any(kappas <= 0):
@@ -159,15 +162,15 @@ def run_zeno_scan(
     def exact_states():
         return [lindblad_exact(m, DensityMatrix.from_state(g), t_flip) for m, g, *_ in ensembles]
 
-    distances = np.full(kappas.size, np.nan)
     if n_traj > 0:
         # the exact propagators run while the pool steps; only the final
         # node is read, so only its projector sums are kept
         sums, exact = ensemble_sums(ensembles, workers, local=exact_states, final=True)
-        for i, [rho_sum] in enumerate(sums):
-            distances[i] = trace_distance(mean_density(rho_sum, n_traj), exact[i])
+        means, _ = mean_states(np.concatenate(sums), n_traj)
+        distances = _trace_distances(means, np.array([rho.entries for rho in exact]))
     else:
         exact = exact_states()
+        distances = np.full(kappas.size, np.nan)
     transfers = np.array([rho.entries[0, 0].real for rho in exact])
     return ZenoScanResult(kappas, np.clip(transfers, 0.0, 1.0), distances)
 
@@ -248,13 +251,7 @@ def _driven_trajectory(
     system: DrivenTwoLevel, t_final: float, dt: float, seed: int, initial
 ) -> SseTrajectory:
     """A monitored trajectory of round(t_final/dt) steps from t = 0 and the
-    ground state unless ``initial`` is given; warns outside the soft regime."""
-    if not system.soft_regime():
-        warnings.warn(
-            "kappa * splitting^2 >= rabi: outside the soft-measurement regime",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    ground state unless ``initial`` is given."""
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=max(1, int(round(t_final / dt))))
     psi0 = system.ground_state() if initial is None else initial
     return simulate_trajectory(system.monitoring_model(), psi0, grid, seed)
@@ -270,6 +267,12 @@ def run_rabi_monitor(
     and the spectrum shows a line at the Rabi frequency; outside the regime a
     warning is emitted and the line is typically absent (frozen dynamics).
     """
+    if not system.soft_regime():
+        warnings.warn(
+            "kappa * splitting^2 >= rabi: outside the soft-measurement regime",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     traj = _driven_trajectory(system, t_final, dt, seed, None)
     spectrum = periodogram(traj.record.values, dt)
     return traj, spectrum
@@ -333,7 +336,8 @@ def run_transition_monitor(
     transition is declared when the smoothed record crosses from below
     -threshold_fraction*splitting to above +threshold_fraction*splitting.
     Absence of detections is a valid outcome. Starts from the ground state
-    unless ``initial`` is given.
+    unless ``initial`` is given. Unlike run_rabi_monitor it gives no warning
+    outside the soft regime, where jumps between the levels show best.
     """
     traj = _driven_trajectory(system, t_final, dt, seed, initial)
     if smoothing_window is None:

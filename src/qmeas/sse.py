@@ -25,13 +25,15 @@ intensity is 1/(4 kappa).
 Randomness is counter-based: trajectory i uses a Philox stream keyed by
 seed_base + i, with Gaussian variates drawn by numpy's standard_normal. A
 trajectory is bit-reproducible from its seed alone, independent of batch
-composition and worker scheduling. An ensemble returns projector sums only,
-taken over fixed chunks of 64 trajectories: each contiguous share of chunks
-is stepped together in one time loop, and the per-chunk sums are still
-reduced in chunk order. A share keeps them at every grid node or at the
-final node alone, taken on its d-major states (see below) by the einsum of
-a (batch, d) layout on their transposed view, which keeps the order of the
-sum over the batch, so no (batch, d) copy is made.
+composition and worker scheduling. ensemble_sums is the one ensemble
+runner, and it returns projector sums only, taken over fixed chunks of 64
+trajectories: each contiguous share of chunks is stepped together in one
+time loop, and the per-chunk sums are still reduced in chunk order;
+mean_states is the one step from those sums to mean states. A share keeps
+the sums at every grid node or at the final node alone, taken on its
+d-major states (see below) by the einsum of a (batch, d) layout on their
+transposed view, which keeps the order of the sum over the batch, so no
+(batch, d) copy is made.
 
 Every step, of one state, a trajectory or an ensemble share, runs one
 buffered step kernel whose bits do not depend on the batch; the time loop
@@ -218,18 +220,6 @@ def _check_norms(norms: np.ndarray):
         raise IntegrationError("stochastic step gave a non-finite or zero state; reduce dt or kappa")
 
 
-def _step_batch(
-    h: np.ndarray, a: np.ndarray, kappa: float, psi: np.ndarray, dw: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler-Maruyama step for a batch of states (batch, d); returns (new
-    states (batch, d), pre-step <A> values)."""
-    out, exp_a, norms = np.empty(psi.shape, complex), np.empty(len(psi)), np.empty(len(psi))
-    with np.errstate(all="ignore"):
-        _step_kernel(h, a, kappa, dt, len(psi))(psi.T, _noise(kappa, dw), out.T, exp_a, norms)
-    _check_norms(norms)
-    return out, exp_a
-
-
 def sse_step(model: MonitoringModel, psi: QuantumState, dw: float, dt: float) -> QuantumState:
     """Single Euler-Maruyama update followed by renormalization.
 
@@ -240,9 +230,12 @@ def sse_step(model: MonitoringModel, psi: QuantumState, dw: float, dt: float) ->
     if dt <= 0:
         raise ValidationError("dt must be positive")
     _guard(model, dt)
-    batch = psi.amplitudes[None, :]
-    out, _ = _step_batch(model.H.entries, model.A.entries, model.kappa, batch, np.array([dw]), dt)
-    return QuantumState(out[0])
+    out, exp_a, norm = np.empty((model.dim, 1), complex), np.empty(1), np.empty(1)
+    step = _step_kernel(model.H.entries, model.A.entries, model.kappa, dt, 1)
+    with np.errstate(all="ignore"):
+        step(psi.amplitudes[:, None], _noise(model.kappa, np.array([dw])), out, exp_a, norm)
+    _check_norms(norm)
+    return QuantumState(out[:, 0])
 
 
 def _by_chunk(x: np.ndarray, reduce, out: np.ndarray):
@@ -460,43 +453,12 @@ def ensemble_sums(
     return [fold_chunks(parts) for parts in shares], mine
 
 
-def ensemble_accumulate(
-    model: MonitoringModel,
-    psi0: QuantumState,
-    grid: TimeGrid,
-    n_traj: int,
-    seed_base: int,
-    workers: int = 1,
-) -> np.ndarray:
-    """Sums of trajectory projectors at every grid node, (n_steps + 1, d, d).
-
-    Trajectories run in fixed chunks of CHUNK, cut into max(1, min(workers,
-    chunks // 2)) contiguous, balanced shares of at least two chunks
-    (map_shares), each stepped in one time loop;
-    chunk partial sums are combined in chunk order, so the result is
-    identical for any worker count (see ensemble_sums).
-    """
-    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base)], workers)
-    return sums
-
-
-def _mean(rho_sum: np.ndarray, n_traj: int) -> np.ndarray:
-    """The Hermitian part over n_traj of sums (..., d, d) of n_traj
-    trajectory projectors."""
-    return 0.5 * (rho_sum + np.swapaxes(rho_sum.conj(), -1, -2)) / n_traj
-
-
-def mean_density(rho_sum: np.ndarray, n_traj: int) -> DensityMatrix:
-    """The ensemble mean state from a sum of n_traj trajectory projectors:
-    its Hermitian part over n_traj."""
-    return DensityMatrix(_mean(rho_sum, n_traj))
-
-
 def mean_states(rho_sums: np.ndarray, n_traj: int) -> tuple[np.ndarray, np.ndarray]:
-    """mean_density at every node of projector sums (nodes, d, d), as one
-    stack: (the mean states, their smallest eigenvalues), with the bits and
-    the checks of a DensityMatrix built at each node."""
-    return _densities(_mean(rho_sums, n_traj))
+    """The ensemble mean state at every node of sums (nodes, d, d) of n_traj
+    trajectory projectors, their Hermitian part over n_traj, as one stack:
+    (the mean states, their smallest eigenvalues), with the bits and the
+    checks of a DensityMatrix built at each node."""
+    return _densities(0.5 * (rho_sums + np.swapaxes(rho_sums.conj(), -1, -2)) / n_traj)
 
 
 def ensemble_average(
@@ -508,11 +470,12 @@ def ensemble_average(
     workers: int = 1,
 ) -> EnsembleSummary:
     """Mean of |psi><psi| across n_traj independent trajectories at each grid
-    node; trajectory i uses seed seed_base + i. Deterministic for fixed
-    (n_traj, seed_base) regardless of execution order. With n_traj = 1 the
-    result degenerates to the projector sequence of that single trajectory."""
-    rho_sum = ensemble_accumulate(model, psi0, grid, n_traj, seed_base, workers)
-    mean = tuple(_density_stack(_mean(rho_sum, n_traj)))
+    node; trajectory i uses seed seed_base + i. The sums of ensemble_sums
+    become mean states by mean_states, so the values are the same bits for
+    any worker count. With n_traj = 1 the result degenerates to the
+    projector sequence of that single trajectory."""
+    [rho_sum], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base)], workers)
+    mean = tuple(_density_stack(*mean_states(rho_sum, n_traj)))
     return EnsembleSummary(n_traj=n_traj, mean_rho=mean, seed_base=seed_base, grid=grid)
 
 

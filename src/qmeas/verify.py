@@ -44,7 +44,7 @@ from .hilbert import (
 )
 from .lindblad import integrate_lindblad
 from .readout import TimeGrid, constant_record
-from .sse import compare_to_master, ensemble_accumulate
+from .sse import compare_to_master, ensemble_sums
 
 
 @dataclass(frozen=True)
@@ -269,8 +269,9 @@ def check_reproducibility() -> CheckResult:
     h, a, kappa = pauli_x(), pauli_z(), 0.5
     grid = TimeGrid(0.0, 1e-3, 200)
     model = MonitoringModel(h, a, kappa)
-    first = ensemble_accumulate(model, plus_state(), grid, 260, seed_base=7, workers=1)
-    second = ensemble_accumulate(model, plus_state(), grid, 260, seed_base=7, workers=2)
+    ensemble = (model, plus_state(), grid, 260, 7)
+    [first], _ = ensemble_sums([ensemble], workers=1)
+    [second], _ = ensemble_sums([ensemble], workers=2)
     same = np.array_equal(first, second)
     return CheckResult(
         "reproducibility",

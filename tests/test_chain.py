@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from qmeas.chain import (
     AncillaScheme,
     FuzzyKraus,
-    _eigensystem,
     _run_chain_batch,
     ancilla_branch_operators,
     fit_effective_quadratic,
@@ -119,11 +118,19 @@ class TestGuards:
         with pytest.raises(ValidationError, match=r"^seed -1 is negative; use a seed >= 0$"):
             run_decoherence_chain(k, basis_state(2, 0), 5, seed=-1)
 
-    @pytest.mark.parametrize("a, strength, message", [
-        ("0 0 ; 0 10", 2.0, r"defect 0.202 .*reduce the strength or the spread$"),
-        ("1 0 ; 0 1", 0.1, r"give A distinct eigenvalues, .*accept a degenerate A\)$"),
+    # the degenerate A is rejected when the config is parsed, with its line
+    @pytest.mark.parametrize("a, strength, start, message", [
+        ("0 0 ; 0 10", 2.0, "error: fuzzy ", r"defect 0.202 .*reduce the strength or the spread$"),
+        (
+            "1 0 ; 0 1",
+            0.1,
+            "error: line 4: [model] a: fuzzy ",
+            r"give A distinct eigenvalues, .*accept a degenerate A\)$",
+        ),
     ])
-    def test_chain_scenario_exits_1_with_one_error_line(self, tmp_path, capsys, a, strength, message):
+    def test_chain_scenario_exits_1_with_one_error_line(
+        self, tmp_path, capsys, a, strength, start, message
+    ):
         cfg = tmp_path / "chain.cfg"
         cfg.write_text(
             f"[run]\nscenario = chain\n[model]\na = {a}\n[chain]\nstrength = {strength}\n",
@@ -131,7 +138,7 @@ class TestGuards:
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: fuzzy "), lines
+        assert len(lines) == 1 and lines[0].startswith(start), lines
         assert re.search(message, lines[0])
 
 
@@ -310,7 +317,7 @@ def _reference_chain_batch(k, psi0, n_steps, seeds, collapse_threshold):
     """The chain batch on fresh arrays, frozen as it was before its scratch
     was preallocated: final amplitudes in the eigenbasis of A, and population
     sums over the whole batch, added in seed order."""
-    evals, q = _eigensystem(k)
+    evals, q = k.kernel.evals, k.kernel.q
     b = len(seeds)
     us = np.empty((b, n_steps))
     zs = np.empty((b, n_steps))

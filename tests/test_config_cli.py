@@ -10,14 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmeas import cli
+from qmeas.chain import FuzzyKraus, _check_chain
+from qmeas.chm import propagate_chm_series
 from qmeas.cli import dispatch, main
-from qmeas.config import KEYS, LINE_CORE_BINS, STEP_GUARD, parse_config
-from qmeas.errors import ConfigError, IntegrationError, ValidationError
+from qmeas.config import (
+    KEYS,
+    LINE_CORE_BINS,
+    RESOLUTION_GUARD,
+    SPECTRAL_GAP,
+    STEP_GUARD,
+    parse_config,
+)
+from qmeas.errors import ConfigError, IntegrationError, ResolutionMismatchError, ValidationError
 from qmeas.experiments import DrivenTwoLevel
-from qmeas.hilbert import DensityMatrix, HermitianOperator, pauli_x, trace_distance
+from qmeas.hilbert import (
+    DensityMatrix,
+    HermitianOperator,
+    basis_state,
+    pauli_x,
+    trace_distance,
+)
 from qmeas.lindblad import MonitoringModel, integrate_lindblad
-from qmeas.readout import parse_record
-from qmeas.sse import _guard, ensemble_accumulate
+from qmeas.readout import TimeGrid, constant_record, parse_record
+from qmeas.sse import _guard, ensemble_sums
 
 
 class TestParseConfig:
@@ -218,6 +233,31 @@ INVALID_CONFIGS = [
         "[model] kappa = 4.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt = 0.144 "
         "with ||A|| = 3, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa",
     ),
+    # kappa * (||A|| + |a|)^2 * dt of a constant chm record above the record
+    # slice's guard; the line is that of the first of kappa, record_value, dt
+    # and the key that sets A that the config sets
+    (
+        "[run]\nscenario = chm\n[model]\nkappa = 50\n[chm]\nrecord_value = 3\n",
+        4,
+        "[model] kappa = 50.0, [chm] record_value = 3.0 and [grid] dt = 0.05 give "
+        "kappa * (||A|| + |a|)^2 * dt = 40 with ||A|| = 1, above the record slice's "
+        "RESOLUTION_GUARD = 0.5; reduce dt, kappa or the record value",
+    ),
+    (
+        "[run]\nscenario = chm\n[model]\npreset = three-level\n[grid]\ndt = 0.2\n",
+        6,
+        "[model] kappa = 0.5, [chm] record_value = 1.0 and [grid] dt = 0.2 give "
+        "kappa * (||A|| + |a|)^2 * dt = 1.6 with ||A|| = 3, above the record slice's "
+        "RESOLUTION_GUARD = 0.5; reduce dt, kappa or the record value",
+    ),
+    # a fuzzy chain cannot tell two eigenvalues of A apart
+    (
+        "[run]\nscenario = chain\n[model]\na = 1 0 0 ; 0 1 0 ; 0 0 2\n",
+        4,
+        "[model] a: fuzzy chains require a nondegenerate spectrum: give A distinct "
+        "eigenvalues, gaps of at least 1e-9 (the lindblad, chm and sse-ensemble scenarios "
+        "accept a degenerate A)",
+    ),
 ]
 
 
@@ -264,6 +304,68 @@ def test_parse_time_step_guard_is_the_library_guard(scenario, dt, norm, ulps):
         assert "STEP_GUARD" in str(exc)
         parsed = False
     assert parsed == _library_step_guard_passes(scenario, kappa, dt, norm)
+
+
+def _library_resolution_guard_passes(kappa, dt, norm, value):
+    """Whether chm.propagate_chm_series, which every chm run calls, passes
+    the constant record of the config."""
+    a = HermitianOperator(np.diag([norm, -0.5 * norm]))
+    record = constant_record(TimeGrid(0.0, dt, 1), value)
+    try:
+        propagate_chm_series(MonitoringModel(pauli_x(), a, kappa), basis_state(2, 0), record)
+    except ResolutionMismatchError:
+        return False
+    return True
+
+
+# kappa is drawn at the guard's edge, up to two ulps either side of it
+@given(
+    dt=st.floats(1e-4, 0.1),
+    norm=st.floats(0.1, 10.0),
+    value=st.floats(-10.0, 10.0),
+    ulps=st.integers(-2, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_parse_time_resolution_guard_is_the_library_guard(dt, norm, value, ulps):
+    kappa = RESOLUTION_GUARD / ((norm + abs(value)) ** 2 * dt)
+    for _ in range(abs(ulps)):
+        kappa = float(np.nextafter(kappa, np.inf if ulps > 0 else 0.0))
+    text = (
+        f"[run]\nscenario = chm\n[model]\na = {norm!r} 0 ; 0 {-0.5 * norm!r}\n"
+        f"kappa = {kappa!r}\n[grid]\ndt = {dt!r}\n[chm]\nrecord_value = {value!r}\n"
+    )
+    try:
+        parse_config(text)
+        parsed = True
+    except ConfigError as exc:
+        assert "RESOLUTION_GUARD" in str(exc)
+        parsed = False
+    assert parsed == _library_resolution_guard_passes(kappa, dt, norm, value)
+
+
+# A's gap at SPECTRAL_GAP and one ulp either side, from 0 and off it
+@pytest.mark.parametrize("base", [0.0, 1.0, -3.0])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_parse_time_spectral_gap_is_the_library_gap(base, ulps):
+    gap = SPECTRAL_GAP
+    for _ in range(abs(ulps)):
+        gap = float(np.nextafter(gap, np.inf if ulps > 0 else 0.0))
+    top = base + gap
+    try:
+        parse_config(f"[run]\nscenario = chain\n[model]\na = {base!r} 0 ; 0 {top!r}\n")
+        parsed = True
+    except ConfigError as exc:
+        assert "nondegenerate spectrum" in str(exc)
+        parsed = False
+    k = FuzzyKraus(HermitianOperator(np.diag([base, top])), 0.1)
+    try:
+        _check_chain(k, basis_state(2, 0), 1, 0.5)
+        checked = True
+    except ValidationError:
+        checked = False
+    assert parsed == checked
+    if base == 0.0:  # the eigenvalues are the diagonal's bits
+        assert parsed == (ulps >= 0)
 
 
 # every key that converts to float, with a scenario it applies to
@@ -803,7 +905,7 @@ def _per_node_ensemble_csv(path, text):
     so that the stacked pass over the mean states is held to it."""
     cfg = parse_config(text)
     model = MonitoringModel(cfg.h, cfg.a, cfg.kappa)
-    rho_sum = ensemble_accumulate(model, cfg.psi0, cfg.grid, cfg.n_traj, cfg.seed)
+    [rho_sum], _ = ensemble_sums([(model, cfg.psi0, cfg.grid, cfg.n_traj, cfg.seed)])
     ref = integrate_lindblad(model, DensityMatrix.from_state(cfg.psi0), cfg.grid)
     expects, dists = [], []
     for s, r in zip(rho_sum, ref):
@@ -1020,6 +1122,40 @@ class TestRecordExportFormat:
             "error: line 4: [model] kappa = 40.0 and [grid] dt = 0.001 give kappa * (2||A||)^2 * dt "
             "= 0.16 with ||A|| = 1, above the SSE step's STEP_GUARD = 0.1; reduce dt or kappa"
         ]
+
+    def test_resolution_guard_is_rejected_at_parse_time(self, tmp_path, capsys):
+        # the library guard stays in chm.propagate_chm_series, where a
+        # record file is checked; a constant record is checked here, with its
+        # line, before the run makes its output
+        text = "[run]\nscenario = chm\n[model]\nkappa = 50\n[chm]\nrecord_value = 3\n"
+        rc, out = run_cli(tmp_path, "budget", text)
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: line 4: [model] kappa = 50.0, [chm] record_value = 3.0 and [grid] dt = 0.05 "
+            "give kappa * (||A|| + |a|)^2 * dt = 40 with ||A|| = 1, above the record slice's "
+            "RESOLUTION_GUARD = 0.5; reduce dt, kappa or the record value"
+        ]
+
+    def test_record_file_over_the_resolution_guard_fails_at_run_time(self, tmp_path, capsys):
+        # the record is read when the run starts, so its guard is the library's
+        rec_path = tmp_path / "rec.csv"
+        rec_path.write_text("t,a\n0.025,3\n0.075,3\n", encoding="utf-8")
+        text = f"[run]\nscenario = chm\n[model]\nkappa = 50\n[chm]\nrecord_file = {rec_path}\n"
+        rc, _ = run_cli(tmp_path, "budget_file", text)
+        assert rc == 2
+        assert "exceeds 0.5; the record grid is too coarse" in capsys.readouterr().err
+
+    def test_degenerate_chain_is_rejected_at_parse_time(self, tmp_path, capsys):
+        # the library check stays in chain._check_chain; the config alone
+        # says so here, with the line of A, before the run makes its output
+        text = "[run]\nscenario = chain\n[model]\na = 1 0 0 ; 0 1 0 ; 0 0 2\n"
+        rc, out = run_cli(tmp_path, "degenerate", text)
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 4: [model] a: fuzzy chains ")
 
     def test_unresolvable_rabi_line_is_validation_error(self, tmp_path):
         # T = 2 gives 0.5-per-bin resolution, far above the Rabi line

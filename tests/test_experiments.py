@@ -22,7 +22,6 @@ from qmeas.readout import TimeGrid
 from qmeas.sse import (
     _run_batch,
     _share_cuts,
-    ensemble_accumulate,
     ensemble_sums,
     simulate_trajectory,
 )
@@ -78,7 +77,7 @@ class TestZenoScan:
             model, t_flip = sys_k.monitoring_model(), np.pi / sys_k.rabi
             rho = lindblad_exact(model, DensityMatrix.from_state(sys_k.ground_state()), t_flip)
             grid = _scan_grid(sys_k, t_flip)
-            rho_sum = ensemble_accumulate(model, sys_k.ground_state(), grid, n_traj, seed)
+            [rho_sum], _ = ensemble_sums([(model, sys_k.ground_state(), grid, n_traj, seed)])
             assert rho_sum.shape == (grid.n_steps + 1, 2, 2)
             mean = rho_sum[-1] / n_traj
             transfers.append(rho.entries[0, 0].real)
@@ -274,11 +273,18 @@ class TestRabiMonitor:
 
 
 class TestTransitionMonitor:
+    def test_strong_regime_defaults_do_not_warn(self):
+        # the transition scenario's defaults, kappa * splitting^2 = 16 >= rabi,
+        # are in the strong regime on purpose; only the Rabi monitor warns
+        system = DrivenTwoLevel(level_splitting=2.0, rabi=1.0, kappa=4.0)
+        assert not system.soft_regime()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_transition_monitor(system, t_final=1.0, dt=1e-3, seed=0)
+
     def test_single_upward_transition_detected(self):
         system = DrivenTwoLevel(level_splitting=2.0, rabi=1.0, kappa=4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = run_transition_monitor(system, 30.0, 1e-3, seed=10)
+        res = run_transition_monitor(system, 30.0, 1e-3, seed=10)
         assert len(res.detected_times) == 1
         # consistency with the trajectory's own energy expectation curve
         ez = res.trajectory.expectation_series(system.energy_observable())
@@ -291,20 +297,16 @@ class TestTransitionMonitor:
         # kappa * splitting^2 * T = 16 >= 10: noise alone stays below threshold
         system = DrivenTwoLevel(level_splitting=2.0, rabi=0.0, kappa=4.0)
         fp = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for seed in range(50):
-                res = run_transition_monitor(system, 1.0, 1e-3, seed, smoothing_window=0.5)
-                fp += bool(res.detected_times)
+        for seed in range(50):
+            res = run_transition_monitor(system, 1.0, 1e-3, seed, smoothing_window=0.5)
+            fp += bool(res.detected_times)
         assert fp == 0
 
     def test_excited_start_without_drive_never_crosses(self):
         system = DrivenTwoLevel(level_splitting=2.0, rabi=0.0, kappa=4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = run_transition_monitor(
-                system, 5.0, 1e-3, seed=3, smoothing_window=0.5, initial=system.excited_state()
-            )
+        res = run_transition_monitor(
+            system, 5.0, 1e-3, seed=3, smoothing_window=0.5, initial=system.excited_state()
+        )
         assert res.detected_times == ()
         assert np.mean(res.trajectory.record.values) == pytest.approx(1.0, abs=0.05)
 

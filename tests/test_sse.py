@@ -28,15 +28,13 @@ from qmeas.sse import (
     _noise,
     _projector_sums,
     _run_batch,
+    _check_norms,
     _share_cuts,
-    _step_batch,
     _step_kernel,
     compare_to_master,
-    ensemble_accumulate,
     ensemble_average,
     ensemble_sums,
     map_shares,
-    mean_density,
     mean_states,
     simulate_trajectory,
     sse_step,
@@ -49,6 +47,12 @@ def _same_bits(x, y) -> bool:
     """Same dtype, shape and bytes; unlike np.array_equal, -0.0 is not +0.0."""
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _every_node_sums(model, psi0, grid, n_traj, seed_base, workers=1):
+    """The projector sums of one ensemble at every grid node, (n + 1, d, d)."""
+    [sums], _ = ensemble_sums([(model, psi0, grid, n_traj, seed_base)], workers)
+    return sums
 
 
 def dephasing_model(kappa=1.0, h=None):
@@ -158,7 +162,7 @@ class TestTrajectory:
         kappa, dt, n, n_traj = 1.0, 1e-3, 3000, 2000
         model = dephasing_model(kappa=kappa)
         grid = TimeGrid(0.0, dt, n)
-        rho_sum = ensemble_accumulate(model, plus_state(2), grid, n_traj, seed_base=500)
+        rho_sum = _every_node_sums(model, plus_state(2), grid, n_traj, seed_base=500)
         mean_z = np.real(rho_sum[:, 0, 0] - rho_sum[:, 1, 1]) / n_traj
         # E[<sz>] constant at 0 within 3 standard errors
         assert np.max(np.abs(mean_z)) <= 3.0 / np.sqrt(n_traj)
@@ -239,8 +243,8 @@ class TestEnsemble:
         # at 3 workers, on one pool
         model = dephasing_model(kappa=0.5, h=pauli_x())
         grid = TimeGrid(0.0, 1e-3, 120)
-        one = ensemble_accumulate(model, plus_state(2), grid, 400, seed_base=9, workers=1)
-        two = ensemble_accumulate(model, plus_state(2), grid, 400, seed_base=9, workers=3)
+        one = _every_node_sums(model, plus_state(2), grid, 400, seed_base=9, workers=1)
+        two = _every_node_sums(model, plus_state(2), grid, 400, seed_base=9, workers=3)
         assert counted_pools == [[3, 3]]
         assert _same_bits(one, two)
 
@@ -319,6 +323,16 @@ def _reference_raw(h, a, kappa, psi, dw, dt):
     return out, norms, exp_a
 
 
+def _kernel_step(h, a, kappa, psi, dw, dt):
+    """One _step_kernel call on states (batch, d), checked as the time loop
+    checks it; returns (new states (batch, d), pre-step <A>)."""
+    out, exp_a, norms = np.empty(psi.shape, complex), np.empty(len(psi)), np.empty(len(psi))
+    with np.errstate(all="ignore"):
+        _step_kernel(h, a, kappa, dt, len(psi))(psi.T, _noise(kappa, dw), out.T, exp_a, norms)
+    _check_norms(norms)
+    return out, exp_a
+
+
 def _reference_step(h, a, kappa, psi, dw, dt):
     """The reference step normalized; returns (new states, <A>)."""
     out, norms, exp_a = _reference_raw(h, a, kappa, psi, dw, dt)
@@ -379,7 +393,7 @@ class TestAgainstPerChunkReference:
             grid = TimeGrid(0.0, 1e-3, n_steps)
             ref_rho = _reference_accumulate(model, psi0, grid, n_traj, 31)
             for workers in (1, 2, 3):
-                rho = ensemble_accumulate(model, psi0, grid, n_traj, 31, workers)
+                rho = _every_node_sums(model, psi0, grid, n_traj, 31, workers)
                 assert _same_bits(rho, ref_rho), (n_steps, workers)
 
     @pytest.mark.parametrize("dim", [4, 8])
@@ -430,13 +444,17 @@ class TestAgainstPerChunkReference:
         assert _same_bits(recs, np.concatenate([p[1] for p in parts]))
         _, _, sums = _run_batch(model, psi0, grid, seeds, False)
         assert _same_bits(sums, np.stack([p[2] for p in parts]))
-        # the one-step entry point runs the same kernel
+        # one kernel step of the whole unnormalized batch, and sse_step, the
+        # one-step entry point, on its normalized row 0
         psi = hist[:, -1] * rng.uniform(0.5, 2.0)
         dw = rng.standard_normal(batch) * np.sqrt(grid.dt)
         a, kappa = model.A.entries, model.kappa
-        out, exp_a = _step_batch(h.entries, a, kappa, psi, dw, grid.dt)
+        out, exp_a = _kernel_step(h.entries, a, kappa, psi, dw, grid.dt)
         ref_out, ref_exp = _reference_step(h.entries, a, kappa, psi, dw, grid.dt)
         assert _same_bits(out, ref_out) and _same_bits(exp_a, ref_exp)
+        one = sse_step(model, QuantumState(hist[0, -1]), float(dw[0]), grid.dt)
+        ref_one, _ = _reference_step(h.entries, a, kappa, hist[:1, -1], dw[:1], grid.dt)
+        assert _same_bits(one.amplitudes, ref_one[0])
 
     @given(
         dim=st.integers(2, 8),
@@ -629,7 +647,7 @@ class TestStackedMeans:
         if defect != "skew":  # mean_states takes the Hermitian part first
             sums = 3.0 * stack
             with pytest.raises(ValidationError) as per_node:
-                mean_density(sums[2], 3)
+                DensityMatrix(0.5 * (sums[2] + sums[2].conj().T) / 3)
             with pytest.raises(ValidationError) as stacked:
                 mean_states(sums, 3)
             assert str(stacked.value) == str(per_node.value)
@@ -655,7 +673,7 @@ class TestStackedMeans:
         psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         model, grid, n_traj = MonitoringModel(h, a, 0.5), TimeGrid(0.0, 1e-3, 6), 5
         expects, dists = compare_to_master(model, psi0, grid, n_traj, seed % 1000)
-        rho_sum = ensemble_accumulate(model, psi0, grid, n_traj, seed % 1000)
+        rho_sum = _every_node_sums(model, psi0, grid, n_traj, seed % 1000)
         means = [DensityMatrix(0.5 * (s + s.conj().T) / n_traj) for s in rho_sum]
         ref = integrate_lindblad(model, DensityMatrix.from_state(psi0), grid)
         per_node = [float(np.trace(a.entries @ m.entries).real) for m in means]
@@ -686,7 +704,7 @@ class TestFinalNode:
         a = _random_hermitian(rng, dim, rng.uniform(-1.0, 1.0, dim))
         psi0 = QuantumState.from_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
         model, grid = MonitoringModel(h, a, 0.5), TimeGrid(0.0, 1e-3, n_steps)
-        every = ensemble_accumulate(model, psi0, grid, n_traj, seed_base=seed % 1000)
+        every = _every_node_sums(model, psi0, grid, n_traj, seed_base=seed % 1000)
         [last], _ = ensemble_sums([(model, psi0, grid, n_traj, seed % 1000)], workers, final=True)
         assert every.shape == (n_steps + 1, dim, dim) and last.shape == (1, dim, dim)
         assert last.tobytes() == every[-1].tobytes()
@@ -709,25 +727,25 @@ class TestGuards:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         model, grid = dephasing_model(), TimeGrid(0.0, 1e-3, 10)
         with pytest.raises(ValidationError, match="use a seed >= 0"):
-            ensemble_accumulate(model, plus_state(2), grid, 150, seed_base=-1, workers=2)
+            _every_node_sums(model, plus_state(2), grid, 150, seed_base=-1, workers=2)
         with pytest.raises(ValidationError, match="use a seed >= 0"):
             simulate_trajectory(model, plus_state(2), grid, -5)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValidationError, match="n_traj must be >= 1"):
-            ensemble_accumulate(dephasing_model(), plus_state(2), TimeGrid(0.0, 1e-3, 10), 0, 1)
+            _every_node_sums(dephasing_model(), plus_state(2), TimeGrid(0.0, 1e-3, 10), 0, 1)
 
     def test_step_guard_through_ensemble(self):
         model = dephasing_model(kappa=100.0)
         with pytest.raises(ValidationError, match="reduce dt"):
-            ensemble_accumulate(model, plus_state(2), TimeGrid(0.0, 0.01, 10), 4, 1, workers=2)
+            _every_node_sums(model, plus_state(2), TimeGrid(0.0, 0.01, 10), 4, 1, workers=2)
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_zero_or_non_finite_state_trips_the_step_check(self, bad):
         psi = np.array([[1.0, 0.0], [bad, bad]], dtype=complex)
         a = pauli_z().entries
         with pytest.raises(IntegrationError, match="reduce dt or kappa"):
-            _step_batch(np.zeros((2, 2)), a, 1.0, psi, np.zeros(2), 1e-3)
+            _kernel_step(np.zeros((2, 2)), a, 1.0, psi, np.zeros(2), 1e-3)
 
     def test_nan_increment_mid_block_trips_the_block_check(self, monkeypatch):
         real = np.random.Generator
@@ -759,4 +777,4 @@ class TestGuards:
                 simulate_trajectory(model, plus_state(2), grid, 3)
             monkeypatch.setattr(np.random, "Generator", nan_in_trajectory(4))
             with pytest.raises(IntegrationError, match="reduce dt or kappa"):
-                ensemble_accumulate(model, plus_state(2), grid, 70, 3, workers=1)
+                _every_node_sums(model, plus_state(2), grid, 70, 3, workers=1)
